@@ -16,8 +16,9 @@
 //   GFAIR_E11_WRITE_BASELINE=path  measure per-quantum medians, write the
 //                                  flat-JSON baseline, exit 0.
 //   GFAIR_E11_SMOKE=1              measure the same points; with
-//   GFAIR_E11_BASELINE=path        compare p50s against the baseline and
-//                                  exit non-zero on a regression beyond
+//   GFAIR_E11_BASELINE=path        compare p50s (tick and admission)
+//                                  against the baseline and exit non-zero
+//                                  on a regression beyond
 //   GFAIR_E11_THRESHOLD            (fractional, default 0.25).
 //   GFAIR_E11_POINTS=a,b           restrict to a comma-separated subset of
 //                                  point keys (iterating on one scale point
@@ -65,12 +66,13 @@ BENCHMARK(BM_StrideSelectForQuantum)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 // A homogeneous cluster of 8-GPU servers running identical infinite 1-GPU
 // jobs, `jobs_per_server` per server, warmed up past its first quanta.
-// `num_users` spreads the jobs round-robin: each attach re-derives tickets
-// for every pool job of that user (RefreshPoolTickets), so fixture build is
-// O(jobs^2 / users) — at 100k-GPU scale the two-user default would take the
-// better part of an hour to *construct*, while the tick being measured is
-// user-count-agnostic (charge/sample/skip walk jobs and servers, never
-// users). The 12500-server points therefore submit under 256 users.
+// `num_users` spreads the jobs round-robin. Each attach publishes its user's
+// pool ticket rate once, but still walks that user's pool jobs to mark their
+// servers' cached loads stale (and placement then re-sums those loads), so
+// fixture build stays O(jobs^2 / users), now with a small constant — the
+// 12500-server points still submit under 256 users to keep construction
+// short, and the tick being measured is user-count-agnostic
+// (charge/sample/skip walk jobs and servers, never users).
 std::unique_ptr<analysis::Experiment> MakeTickCluster(int num_servers,
                                                       int jobs_per_server,
                                                       int apply_threads = 1,
@@ -283,6 +285,40 @@ PercentileSampler MeasureTickLatency(int num_servers, int jobs_per_server,
   return sampler;
 }
 
+// Wall-clock latency of single submissions into a steady cluster of
+// `jobs_per_server` resident jobs per server (two users). Each arrival sits
+// off the tick grid (10 s apart, five per quantum) and only its instant is
+// timed: placement, attach with its ticket refresh, and the immediate
+// resume onto an idle GPU. The ticks in between run untimed.
+PercentileSampler MeasureAdmitLatency(int num_servers, int jobs_per_server,
+                                      int samples) {
+  auto exp = MakeTickCluster(num_servers, jobs_per_server);
+  std::vector<UserId> users;
+  for (const workload::User& user : exp->users().users()) {
+    users.push_back(user.id);
+  }
+  SimTime tick = exp->sim().Now();
+  PercentileSampler sampler;
+  int submitted = 0;
+  while (submitted < samples) {
+    for (int k = 1; k <= 5 && submitted < samples; ++k, ++submitted) {
+      const SimTime at = tick + Seconds(10 * k);
+      exp->SubmitAt(at, users[static_cast<size_t>(submitted) % users.size()], "DCGAN",
+                    1, Hours(100000));
+      exp->sim().RunUntil(at - 1);
+      const auto t0 = std::chrono::steady_clock::now();  // gfair-lint: allow(wall-clock) -- E11 measures real scheduler latency; never feeds the simulation
+      exp->sim().RunUntil(at);
+      const auto t1 = std::chrono::steady_clock::now();  // gfair-lint: allow(wall-clock) -- E11 measures real scheduler latency; never feeds the simulation
+      sampler.Add(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() /
+          1000.0);
+    }
+    tick += Minutes(1);
+    exp->Run(tick);
+  }
+  return sampler;
+}
+
 int RunSmoke() {
   const char* write_path = std::getenv("GFAIR_E11_WRITE_BASELINE");
   const char* baseline_path = std::getenv("GFAIR_E11_BASELINE");
@@ -336,6 +372,19 @@ int RunSmoke() {
   };
 
   std::vector<std::pair<std::string, double>> recorded;
+  // Admission: 1250 x 8 GPUs holding ~4k resident 1-GPU jobs per user (6 per
+  // server, 2 users), timing single submissions off the grid. Gated like the
+  // tick points, so a return to per-job ticket refresh (each arrival
+  // rewriting all of its user's jobs) fails CI.
+  if (point_enabled("admit_1250")) {
+    const bench::LatencySummary summary =
+        bench::Summarize(MeasureAdmitLatency(1250, /*jobs_per_server=*/6, 300));
+    std::cout << "E11 smoke admit_1250: p50 " << summary.p50 << " us, p95 "
+              << summary.p95 << " us, mean " << summary.mean << " us over "
+              << summary.count << " submissions\n";
+    recorded.emplace_back("admit_us_p50_admit_1250", summary.p50);
+    recorded.emplace_back("admit_us_p95_admit_1250", summary.p95);
+  }
   for (const Point& point : points) {
     if (!point_enabled(point.key) || (point.opt_in && points_filter.empty())) {
       continue;
@@ -365,10 +414,11 @@ int RunSmoke() {
     std::cerr << "E11 smoke: cannot read baseline " << baseline_path << "\n";
     return 1;
   }
-  // Gate on medians only; p95s ride along in the baseline for forensics.
+  // Gate on medians only (tick and admission); p95s ride along in the
+  // baseline for forensics.
   int violations = 0;
   for (const auto& [key, old_value] : baseline) {
-    if (key.rfind("tick_us_p50_", 0) != 0) {
+    if (key.rfind("tick_us_p50_", 0) != 0 && key.rfind("admit_us_p50_", 0) != 0) {
       continue;
     }
     double new_value = -1.0;
@@ -391,8 +441,8 @@ int RunSmoke() {
     }
   }
   if (violations == 0) {
-    std::cout << "E11 smoke: per-quantum medians within " << threshold * 100.0
-              << "% of baseline\n";
+    std::cout << "E11 smoke: per-quantum and per-admission medians within "
+              << threshold * 100.0 << "% of baseline\n";
   }
   return violations > 0 ? 1 : 0;
 }

@@ -59,28 +59,29 @@ void ClusterStateIndex::Reposition(ServerId server) const {
   pool.emplace(key, server);
 }
 
-void ClusterStateIndex::AddJob(ServerId server, JobId id, int gang_size, Tickets tickets) {
-  stride(server).AddJob(id, gang_size, tickets);
+void ClusterStateIndex::UpdateOversubscribed(ServerId server) {
+  const cluster::Server& host = cluster_.server(server);
+  auto& pool = oversubscribed_[cluster::GenerationIndex(host.generation())];
+  if (stride(server).DemandLoad() > host.num_gpus()) {
+    pool.insert(server);
+  } else {
+    pool.erase(server);
+  }
+}
+
+void ClusterStateIndex::AddJob(ServerId server, JobId id, int gang_size, double share,
+                               const TicketRate* rate) {
+  stride(server).AddJob(id, gang_size, share, rate);
   MarkDirty(server);
   MarkPlanDirty(server);
+  UpdateOversubscribed(server);
 }
 
 void ClusterStateIndex::RemoveJob(ServerId server, JobId id) {
   stride(server).RemoveJob(id);
   MarkDirty(server);
   MarkPlanDirty(server);
-}
-
-void ClusterStateIndex::SetTickets(ServerId server, JobId id, Tickets tickets) {
-  stride(server).SetTickets(id, tickets);
-  MarkDirty(server);
-  MarkPlanDirty(server);
-}
-
-void ClusterStateIndex::SetRunnable(ServerId server, JobId id, bool runnable) {
-  stride(server).SetRunnable(id, runnable);
-  MarkDirty(server);
-  MarkPlanDirty(server);
+  UpdateOversubscribed(server);
 }
 
 void ClusterStateIndex::SetDraining(ServerId server, bool draining) {

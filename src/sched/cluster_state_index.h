@@ -10,13 +10,23 @@
 // Invariants:
 //  * By the time any ordered-set query runs, a server's position in its
 //    pool's set reflects stride(s).TicketLoad() / num_gpus(s). Mutations that
-//    can change a ticket load go through AddJob/RemoveJob/SetTickets here,
-//    which mark the server's position dirty; queries flush dirty positions
-//    first. Deferring the reposition keeps ticket refreshes O(1) per job —
-//    an eager reposition would recompute the server's whole ticket load on
-//    every SetTickets, re-creating the quadratic refresh this index removes.
-//    stride() gives raw access only for operations that cannot change loads
-//    (Charge, SelectForQuantum, reads).
+//    can change a ticket load go through AddJob/RemoveJob/InvalidateTicketLoad
+//    here, which mark the server's position dirty; queries flush dirty
+//    positions first. Deferring the reposition keeps a pool re-pricing O(1)
+//    per hosting job — an eager reposition would recompute each server's
+//    whole ticket load on every invalidation, re-creating the quadratic
+//    refresh this index removes. stride() gives raw access only for
+//    operations that cannot change loads (Charge, SelectForQuantum, reads).
+//  * Tickets are published per (user, pool) as a TicketRate that resident
+//    entries read (stride.h). When its owner rewrites a rate it calls
+//    InvalidateTicketLoad on each server hosting one of the pool's jobs: the
+//    cached ticket load and pool position go stale, the plan-dirty flag does
+//    not — tickets enter neither the selection key nor the planner's skip
+//    condition (quantum_planner.h), so a re-priced steady server stays
+//    skippable.
+//  * Per pool, the ids of servers whose runnable demand exceeds their GPU
+//    count (the only possible work-stealing donors), kept in ascending order
+//    by AddJob/RemoveJob — the same order Cluster::servers_of() lists them.
 //  * Ties in the ordered set resolve to the lower ServerId. Because
 //    Cluster::servers_of() lists ids in ascending order, a "first strictly
 //    smaller wins" linear scan and a walk of this set agree on the winner —
@@ -54,12 +64,16 @@ class ClusterStateIndex {
   }
 
   // --- load-changing mutations (keep the pool ordering fresh) ---
-  void AddJob(ServerId server, JobId id, int gang_size, Tickets tickets);
+  // Registers a resident priced by `rate` (see LocalStrideScheduler::AddJob).
+  void AddJob(ServerId server, JobId id, int gang_size, double share,  // gfair-lint: allow(raw-double-in-sched-api) -- share is gang x weight, not a unit quantity
+              const TicketRate* rate);
   void RemoveJob(ServerId server, JobId id);
-  void SetTickets(ServerId server, JobId id, Tickets tickets);
-  // Runnable toggles change ticket/demand loads and the selectable set, so
-  // they go through the index too (pool reposition + plan dirty).
-  void SetRunnable(ServerId server, JobId id, bool runnable);
+  // A rate read by `server`'s residents changed: its cached ticket load and
+  // pool position go stale. Not plan-dirty (see header comment).
+  void InvalidateTicketLoad(ServerId server) {
+    stride(server).InvalidateTicketLoad();
+    MarkDirty(server);
+  }
 
   // --- draining ---
   void SetDraining(ServerId server, bool draining);
@@ -86,9 +100,9 @@ class ClusterStateIndex {
   // --- plan dirty-set (consumed by QuantumPlanner) ---
   // A server is plan-dirty when its selectable set may have changed since the
   // facade last accepted a plan for it: job arrival/completion/migration
-  // (AddJob/RemoveJob), ticket changes, runnable toggles, and up/down
-  // transitions all mark it. The flag is one half of the planner's skip
-  // condition — see QuantumPlanner for the invariant and the other half.
+  // (AddJob/RemoveJob) and up/down transitions mark it; ticket re-pricing
+  // does not. The flag is one half of the planner's skip condition — see
+  // QuantumPlanner for the invariant and the other half.
   bool plan_dirty(ServerId server) const {
     GFAIR_CHECK(server.valid() && server.value() < plan_dirty_.size());
     return plan_dirty_[server.value()] != 0;
@@ -119,10 +133,19 @@ class ClusterStateIndex {
     return pools_by_load_[cluster::GenerationIndex(gen)];
   }
 
+  // Servers of `gen` whose runnable demand exceeds their GPU count, in
+  // ascending id order.
+  const std::set<ServerId>& oversubscribed(cluster::GpuGeneration gen) const {
+    return oversubscribed_[cluster::GenerationIndex(gen)];
+  }
+
   size_t num_servers() const { return strides_.size(); }
 
  private:
   void MarkDirty(ServerId server);
+  // Moves `server` into or out of its pool's oversubscribed set after a
+  // membership change.
+  void UpdateOversubscribed(ServerId server);
   void MarkPlanDirty(ServerId server) { plan_dirty_[server.value()] = 1; }
   // Repositions every dirty server in its pool's ordered set.
   void Flush() const;
@@ -136,6 +159,7 @@ class ClusterStateIndex {
   int num_down_ = 0;
   // uint8_t, not vector<bool>: read once per server per quantum.
   std::vector<uint8_t> plan_dirty_;
+  cluster::PerGeneration<std::set<ServerId>> oversubscribed_;
 
   // Lazily-maintained pool orderings (see header comment).
   mutable std::vector<double> load_key_;  // key currently in the pool set

@@ -8,7 +8,7 @@
 // silently breaking reproducibility. The view makes the contract structural:
 //
 //  * it exposes ONLY the read-side queries (stride() const, loads, flags,
-//    pool orderings) — the index's mutators (AddJob, SetTickets,
+//    pool orderings) — the index's mutators (AddJob, InvalidateTicketLoad,
 //    ClearPlanDirty, ...) simply do not exist on this type, so a mutation
 //    from planning code is a compile error, not a convention;
 //  * every accessor is const and returns by value or by const reference, so

@@ -619,7 +619,8 @@ void GandivaFairScheduler::AttachResident(JobId id, ServerId server) {
   residency_.Info(id).home = server;
   const GpuGeneration gen = GenOf(server);
   residency_.Attach(job.user, gen, id);
-  index_.AddJob(server, id, job.gang_size, PerJobTickets(job.user, gen, job));
+  index_.AddJob(server, id, job.gang_size, ResidencyIndex::ShareOf(job),
+                &residency_.PoolRate(job.user, gen));
   RefreshPoolTickets(job.user, gen);
   ledger_.RecordDemandChange(job.user, gen, env_.sim.Now(), job.gang_size);
 }
@@ -708,36 +709,32 @@ bool GandivaFairScheduler::OnPrecopyCutover(JobId id, ServerId dest) {
   return true;
 }
 
-Tickets GandivaFairScheduler::PerJobTickets(UserId user, GpuGeneration gen,
-                                            const Job& job) const {
+TicketRate GandivaFairScheduler::CurrentRate(UserId user, GpuGeneration gen) const {
   // A user's pool tickets are split across its resident jobs proportional to
   // weight x gang size (equal weighted GPU-time per demanded GPU). An equal
   // per-job split would let the user's 1-GPU jobs run continuously while its
   // 8-GPU gang — one job, one share — starved at an eighth of its demand.
-  const Tickets pool_tickets = std::max(ticket_matrix_.Get(user, gen), kMinTickets);
-  const double share = job.gang_size * job.weight;
-  const double demand = std::max(residency_.WeightedResidentDemand(user, gen), share);
-  return pool_tickets * share / demand;
+  return TicketRate{std::max(ticket_matrix_.Get(user, gen), kMinTickets),
+                    residency_.WeightedResidentDemand(user, gen)};
+}
+
+Tickets GandivaFairScheduler::PerJobTickets(UserId user, GpuGeneration gen,
+                                            const Job& job) const {
+  return CurrentRate(user, gen).TicketsFor(ResidencyIndex::ShareOf(job));
 }
 
 void GandivaFairScheduler::RefreshPoolTickets(UserId user, GpuGeneration gen) {
-  const auto& pool_jobs = residency_.PoolJobs(user, gen);
+  const std::vector<JobId>& pool_jobs = residency_.PoolJobs(user, gen);
   if (pool_jobs.empty()) {
     return;
   }
-  // The matrix lookup and the pool demand are loop-invariant — hoisted out
-  // of the per-job formula, which otherwise dominates attach/detach cost for
-  // users with many resident jobs. The per-job expression stays bit-identical
-  // to PerJobTickets.
-  const Tickets pool_tickets = std::max(ticket_matrix_.Get(user, gen), kMinTickets);
-  const double pool_demand = residency_.WeightedResidentDemand(user, gen);
-  // Sorted: SetTickets on distinct jobs commute, so this is for lint
-  // uniformity (every PoolJobs walk is sorted), not correctness.
-  for (JobId id : common::SortedKeys(pool_jobs)) {
-    const Job& job = env_.jobs.Get(id);
-    const double share = job.gang_size * job.weight;
-    index_.SetTickets(residency_.Info(id).home, id,
-                      pool_tickets * share / std::max(pool_demand, share));
+  // Publish the pool's rate once: every resident entry of the pool derives
+  // its tickets from it on read. What goes stale is each hosting server's
+  // cached ticket load and pool position — not its plan (tickets are not
+  // part of the selection key or the planner's skip condition).
+  residency_.PoolRate(user, gen) = CurrentRate(user, gen);
+  for (JobId id : pool_jobs) {
+    index_.InvalidateTicketLoad(residency_.Info(id).home);
   }
 }
 

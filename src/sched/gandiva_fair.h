@@ -212,6 +212,14 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   double ResidentDemand(UserId user, cluster::GpuGeneration gen) const {
     return residency_.ResidentDemand(user, gen);
   }
+  // The tickets a resident `job` of `user` on pool `gen` holds: the user's
+  // pool tickets split by weighted demand (pool tickets x share /
+  // max(pool demand, share)), recomputed from the ticket matrix and the
+  // residency. Resident stride entries read the same split through the
+  // rate published at the last refresh; the ticket-derivation invariant
+  // checks that the two agree.
+  Tickets PerJobTickets(UserId user, cluster::GpuGeneration gen,
+                        const workload::Job& job) const;
   const GandivaFairConfig& config() const { return config_; }
   const ClusterStateIndex& cluster_index() const { return index_; }
   const ResidencyIndex& residency() const { return residency_; }
@@ -327,8 +335,10 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   // Recomputes effective base tickets from the group hierarchy after the
   // active-user set changes.
   void ApplyHierarchy();
-  Tickets PerJobTickets(UserId user, cluster::GpuGeneration gen,
-                        const workload::Job& job) const;
+  // The user's pool rate as the ticket matrix and residency give it now.
+  TicketRate CurrentRate(UserId user, cluster::GpuGeneration gen) const;
+  // Publishes CurrentRate as the user's pool TicketRate and marks the
+  // hosting servers' ticket loads stale.
   void RefreshPoolTickets(UserId user, cluster::GpuGeneration gen);
 
   SchedulerEnv env_;

@@ -33,6 +33,7 @@ const std::vector<InvariantChecker::Registration>& InvariantChecker::Registry() 
       {"delta-ordering", &InvariantChecker::CheckDeltaOrdering},
       {"down-holds-nothing", &InvariantChecker::CheckDownServersHoldNothing},
       {"gpu-time-conservation", &InvariantChecker::CheckGpuTimeConservation},
+      {"ticket-derivation", &InvariantChecker::CheckTicketDerivation},
   };
   return kRegistry;
 }
@@ -228,6 +229,36 @@ void InvariantChecker::CheckGpuTimeConservation(std::vector<std::string>* out) c
     os << "ledger credited " << delivered << " GPU-seconds but capacity over the window is "
        << capacity;
     out->push_back(os.str());
+  }
+}
+
+// Tickets are published per (user, pool) and derived on read (stride.h), and
+// loads are cached behind explicit invalidation. Both must agree exactly
+// with from-scratch recomputes: per resident, the facade's PerJobTickets;
+// per server, a fresh ticket-load sum and the pool ordering's key.
+void InvariantChecker::CheckTicketDerivation(std::vector<std::string>* out) const {
+  const ClusterStateIndex& index = sched_.cluster_index();
+  for (const auto& server : env_.cluster.servers()) {
+    const ServerId sid = server.id();
+    const LocalStrideScheduler& stride = index.stride(sid);
+    for (JobId id : stride.ResidentJobs()) {
+      const workload::Job& job = env_.jobs.Get(id);
+      if (stride.TicketsOf(id) != sched_.PerJobTickets(job.user, server.generation(), job)) {
+        out->push_back(Describe("resident tickets differ from the per-job split", id, sid));
+      }
+    }
+    if (stride.TicketLoad() != stride.FreshTicketLoad()) {
+      out->push_back(
+          Describe("cached ticket load differs from a fresh sum", JobId::Invalid(), sid));
+    }
+  }
+  for (cluster::GpuGeneration gen : cluster::kAllGenerations) {
+    for (const auto& [key, sid] : index.pool_by_load(gen)) {
+      if (key != index.NormTicketLoad(sid)) {
+        out->push_back(Describe("pool ordering key differs from the server's load",
+                                JobId::Invalid(), sid));
+      }
+    }
   }
 }
 

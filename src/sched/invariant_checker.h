@@ -24,6 +24,15 @@
 //   down-holds-nothing  a down server holds no GPUs, hosts no stride
 //                       residents, and is nobody's (non-migrating) home
 //                       (§failure model)
+//   gpu-time-conservation
+//                       the ledger never credits more GPU time than the
+//                       cluster physically has over the window
+//   ticket-derivation   every resident job's tickets equal the per-job
+//                       split recomputed from the ticket matrix and its
+//                       user's pool demand, and every server's cached
+//                       ticket load and pool-ordering key equal fresh
+//                       recomputes — bit for bit (a stale published rate or
+//                       a missed invalidation shows up here, in Release too)
 //
 // Invariants are REGISTERED in a static name → method table (Registry());
 // Check() runs them all and returns human-readable violations instead of
@@ -73,6 +82,7 @@ class InvariantChecker {
   void CheckDeltaOrdering(std::vector<std::string>* out) const;
   void CheckDownServersHoldNothing(std::vector<std::string>* out) const;
   void CheckGpuTimeConservation(std::vector<std::string>* out) const;
+  void CheckTicketDerivation(std::vector<std::string>* out) const;
 
   const SchedulerEnv& env_;
   const GandivaFairScheduler& sched_;

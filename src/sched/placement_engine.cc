@@ -108,7 +108,11 @@ void PlacementEngine::TrySteal(ServerId server) {
   JobId best = JobId::Invalid();
   double best_overflow = 0.25;  // require genuine oversubscription
   auto scan_pool = [&](GpuGeneration pool) {
-    for (ServerId sid : env_.cluster.servers_of(pool)) {
+    // Only servers whose runnable demand exceeds their GPUs can beat the
+    // initial best_overflow; the index keeps exactly those, in the
+    // ascending id order of servers_of(pool), so the scan elects the same
+    // peer as a walk of the whole pool.
+    for (ServerId sid : index_.oversubscribed(pool)) {
       // Down peers are skipped not just because their load is stale: between
       // the server-down callback and the per-victim orphan callbacks, a dead
       // server's stride still lists jobs that the executor already queued —

@@ -14,10 +14,11 @@
 // becomes proportional to churn, not cluster size. Skipping is sound when
 // BOTH hold:
 //
-//   (a) !index.plan_dirty(server) — no arrival/completion/migration, ticket
-//       change, runnable toggle, or up/down transition since the facade last
-//       committed a plan for this server (ClusterStateIndex maintains the
-//       flag); and
+//   (a) !index.plan_dirty(server) — no arrival/completion/migration or
+//       up/down transition since the facade last committed a plan for this
+//       server (ClusterStateIndex maintains the flag). Ticket re-pricing
+//       deliberately does not count: tickets only move passes, and under (b)
+//       the target is every runnable resident whatever the passes; and
 //   (b) server.num_busy() == stride.DemandLoad() — the GPUs held by running
 //       jobs exactly cover the runnable residents' demand.
 //

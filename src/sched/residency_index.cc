@@ -1,9 +1,9 @@
 #include "sched/residency_index.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
-#include "common/sorted.h"
 
 namespace gfair::sched {
 
@@ -51,8 +51,14 @@ bool ResidencyIndex::DeregisterJob(JobId id, UserId user, int gang_size) {
 void ResidencyIndex::Attach(UserId user, cluster::GpuGeneration gen, JobId id) {
   const size_t g = cluster::GenerationIndex(gen);
   UserPools& pools = user_pools_[user];
-  GFAIR_CHECK(pools.jobs[g].insert(id).second);
-  pools.resident_demand[g] += jobs_.Get(id).gang_size;
+  std::vector<JobId>& jobs = pools.jobs[g];
+  const auto pos = std::lower_bound(jobs.begin(), jobs.end(), id);
+  GFAIR_CHECK_MSG(pos == jobs.end() || *pos != id, "job already attached");
+  const workload::Job& job = jobs_.Get(id);
+  pools.shares[g].insert(pools.shares[g].begin() + (pos - jobs.begin()),
+                         ShareOf(job));
+  jobs.insert(pos, id);
+  pools.resident_demand[g] += job.gang_size;
   pools.weighted_dirty[g] = true;
 }
 
@@ -60,14 +66,19 @@ void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id) {
   const size_t g = cluster::GenerationIndex(gen);
   auto it = user_pools_.find(user);
   GFAIR_CHECK_MSG(it != user_pools_.end(), "detach for unknown user");
-  GFAIR_CHECK(it->second.jobs[g].erase(id) == 1);
+  std::vector<JobId>& jobs = it->second.jobs[g];
+  const auto pos = std::lower_bound(jobs.begin(), jobs.end(), id);
+  GFAIR_CHECK_MSG(pos != jobs.end() && *pos == id, "detach of a job not attached");
+  std::vector<double>& shares = it->second.shares[g];
+  shares.erase(shares.begin() + (pos - jobs.begin()));
+  jobs.erase(pos);
   it->second.resident_demand[g] -= jobs_.Get(id).gang_size;
   it->second.weighted_dirty[g] = true;
 }
 
-const std::unordered_set<JobId>& ResidencyIndex::PoolJobs(UserId user,
-                                                          cluster::GpuGeneration gen) const {
-  static const std::unordered_set<JobId> kEmpty;
+const std::vector<JobId>& ResidencyIndex::PoolJobs(UserId user,
+                                                   cluster::GpuGeneration gen) const {
+  static const std::vector<JobId> kEmpty;
   auto it = user_pools_.find(user);
   if (it == user_pools_.end()) {
     return kEmpty;
@@ -82,10 +93,10 @@ double ResidencyIndex::ResidentDemand(UserId user, cluster::GpuGeneration gen) c
   }
   const size_t g = cluster::GenerationIndex(gen);
 #ifndef NDEBUG
-  // Debug cross-check summing small ints (exact in double, so the order of
-  // the unordered walk and the == compare are both sound here).
+  // Debug cross-check summing small ints (exact in double, so the == compare
+  // is sound here).
   double recompute = 0.0;
-  for (JobId id : it->second.jobs[g]) {  // gfair-lint: allow(unordered-iter)
+  for (JobId id : it->second.jobs[g]) {
     recompute += jobs_.Get(id).gang_size;
   }
   GFAIR_DCHECK_MSG(recompute == it->second.resident_demand[g],  // gfair-lint: allow(float-eq)
@@ -103,15 +114,14 @@ double ResidencyIndex::WeightedResidentDemand(UserId user,
   const size_t g = cluster::GenerationIndex(gen);
   const UserPools& pools = it->second;
   if (pools.weighted_dirty[g]) {
-    // Recomputed in SORTED job-id order: this is a float accumulation that
-    // feeds per-job tickets, so its summation order must not depend on the
-    // hash set's platform-specific iteration order. (Any fixed order works;
-    // sorted makes cached reads bit-identical to uncached ones AND across
-    // platforms. The frozen legacy oracle sums in the same order.)
+    // Recomputed in ascending job-id order (the list's own order): this is a
+    // float accumulation that feeds per-job tickets, so its summation order
+    // must be fixed. Id order makes cached reads bit-identical to uncached
+    // ones and across platforms; the frozen legacy oracle sums in the same
+    // order.
     double total = 0.0;
-    for (JobId id : common::SortedKeys(pools.jobs[g])) {
-      const workload::Job& job = jobs_.Get(id);
-      total += job.gang_size * job.weight;
+    for (double share : pools.shares[g]) {
+      total += share;
     }
     pools.weighted_demand[g] = total;
     pools.weighted_dirty[g] = false;

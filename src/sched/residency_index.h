@@ -3,13 +3,17 @@
 // Owns the per-job scheduler bookkeeping (home server, charge/migration
 // timestamps) and the per-user aggregates the monolith used to recompute by
 // walking job sets on every read:
-//  * per-user per-pool resident job sets (the ground truth),
+//  * per-user per-pool resident job lists (the ground truth), kept in
+//    ascending id order so every walk over them — float accumulations and
+//    candidate scans alike — is deterministic without a per-walk sort,
 //  * per-user per-pool resident GPU demand (sum of gang sizes — incremental,
 //    exact because it is a sum of small integers),
 //  * per-user per-pool weighted resident demand (sum of gang x weight —
-//    cached with a dirty flag and recomputed in set-iteration order, so the
-//    value is bit-identical to the recompute-on-read the monolith did, while
-//    RefreshPoolTickets drops from O(jobs²) to O(jobs)),
+//    cached with a dirty flag and recomputed in id order, so the value is
+//    bit-identical to the recompute-on-read the monolith did),
+//  * per-user per-pool published TicketRate (stride.h): the slot every
+//    resident entry of the pool reads its tickets through. The facade
+//    writes it; the address is stable for the index's lifetime,
 //  * per-user unfinished-job counts, total outstanding demand, and the
 //    sorted active-user set.
 //
@@ -20,12 +24,12 @@
 
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/gpu.h"
 #include "common/sim_time.h"
 #include "common/types.h"
+#include "sched/stride.h"
 #include "workload/job.h"
 
 namespace gfair::sched {
@@ -85,8 +89,20 @@ class ResidencyIndex {
   // --- pool residency (ground truth for demand aggregates) ---
   void Attach(UserId user, cluster::GpuGeneration gen, JobId id);
   void Detach(UserId user, cluster::GpuGeneration gen, JobId id);
-  // The user's resident jobs on a pool; empty set when the user is unknown.
-  const std::unordered_set<JobId>& PoolJobs(UserId user, cluster::GpuGeneration gen) const;
+  // The user's resident jobs on a pool in ascending id order; empty when the
+  // user is unknown. Invalidated by Attach/Detach — callers that migrate
+  // while walking must take a copy first.
+  const std::vector<JobId>& PoolJobs(UserId user, cluster::GpuGeneration gen) const;
+
+  // A job's weighted GPU demand (gang x weight): its share of its user's
+  // pool tickets and its term in WeightedResidentDemand.
+  static double ShareOf(const workload::Job& job) { return job.gang_size * job.weight; }
+
+  // The user's published ticket rate on a pool. The slot is created on first
+  // use and never moves, so resident stride entries may hold its address.
+  TicketRate& PoolRate(UserId user, cluster::GpuGeneration gen) {
+    return user_pools_[user].rate[cluster::GenerationIndex(gen)];
+  }
 
   // --- aggregates ---
   // Resident GPU demand of `user` on `gen` (sum of gang sizes). O(1).
@@ -109,7 +125,12 @@ class ResidencyIndex {
 
  private:
   struct UserPools {
-    cluster::PerGeneration<std::unordered_set<JobId>> jobs;
+    cluster::PerGeneration<std::vector<JobId>> jobs;  // ascending ids
+    // Each listed job's gang x weight, parallel to `jobs`: the weighted
+    // demand recompute sums this contiguous array instead of chasing every
+    // job's record.
+    cluster::PerGeneration<std::vector<double>> shares;
+    cluster::PerGeneration<TicketRate> rate{};
     cluster::PerGeneration<double> resident_demand{};
     mutable cluster::PerGeneration<double> weighted_demand{};
     mutable cluster::PerGeneration<bool> weighted_dirty{};
@@ -122,6 +143,7 @@ class ResidencyIndex {
   // for every resident job every quantum — a hash probe per call dominates.
   std::vector<JobInfo> job_info_;
   std::vector<bool> job_registered_;
+  // Node-based: PoolRate() addresses stay valid as users are added.
   std::unordered_map<UserId, UserPools> user_pools_;
   std::unordered_map<UserId, int> user_unfinished_jobs_;
   std::unordered_map<UserId, double> user_total_demand_;

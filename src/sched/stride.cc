@@ -22,18 +22,18 @@ void LocalStrideScheduler::InvalidateAggregates(bool membership_changed) {
   }
 }
 
-void LocalStrideScheduler::AddJob(JobId id, int gang_size, Tickets tickets) {
+void LocalStrideScheduler::AddJob(JobId id, int gang_size, double share,
+                                  const TicketRate* rate) {
   GFAIR_CHECK(id.valid());
   GFAIR_CHECK_MSG(gang_size >= 1 && gang_size <= num_gpus_, "gang cannot fit this server");
-  GFAIR_CHECK(tickets > 0.0);
+  GFAIR_CHECK(rate != nullptr && share > 0.0 && rate->pool_tickets > 0.0);
   GFAIR_CHECK_MSG(FindEntry(id) == entries_.end(), "job already resident");
-  entries_.emplace_back(id, Entry{gang_size, tickets, virtual_time_, true});
+  entries_.emplace_back(id, Entry{gang_size, true, share, rate, virtual_time_});
   if (id.value() >= index_of_.size()) {
     index_of_.resize(id.value() + 1, 0);
     heap_gen_.resize(id.value() + 1, 0);
   }
   index_of_[id.value()] = static_cast<uint32_t>(entries_.size());
-  ticket_load_shadow_ += tickets;
   demand_load_ += gang_size;
   InvalidateAggregates(/*membership_changed=*/true);
   // No generation bump needed: a previous residency's items (if any) died at
@@ -41,12 +41,25 @@ void LocalStrideScheduler::AddJob(JobId id, int gang_size, Tickets tickets) {
   HeapPushJob(id, entries_.back().second);
 }
 
+void LocalStrideScheduler::AddJob(JobId id, int gang_size, Tickets tickets) {
+  AddJob(id, gang_size, /*share=*/1.0, OwnRate(id, tickets));
+}
+
+const TicketRate* LocalStrideScheduler::OwnRate(JobId id, Tickets tickets) {
+  TicketRate& rate = owned_rates_[id];
+  // share 1 against demand 1: (t * 1) / max(1, 1) == t exactly.
+  rate = TicketRate{tickets, 1.0};
+  return &rate;
+}
+
 void LocalStrideScheduler::RemoveJob(JobId id) {
   auto it = FindEntry(id);
   GFAIR_CHECK_MSG(it != entries_.end(), "RemoveJob on unknown job");
   if (it->second.runnable) {
-    ticket_load_shadow_ -= it->second.tickets;
     demand_load_ -= it->second.gang_size;
+  }
+  if (!owned_rates_.empty()) {
+    owned_rates_.erase(id);
   }
   const size_t pos = static_cast<size_t>(it - entries_.begin());
   entries_.erase(it);
@@ -63,10 +76,8 @@ void LocalStrideScheduler::SetTickets(JobId id, Tickets tickets) {
   GFAIR_CHECK(tickets > 0.0);
   auto it = FindEntry(id);
   GFAIR_CHECK(it != entries_.end());
-  if (it->second.runnable) {
-    ticket_load_shadow_ += tickets - it->second.tickets;
-  }
-  it->second.tickets = tickets;
+  it->second.share = 1.0;
+  it->second.rate = OwnRate(id, tickets);
   InvalidateAggregates(/*membership_changed=*/false);
 }
 
@@ -75,8 +86,6 @@ void LocalStrideScheduler::SetRunnable(JobId id, bool runnable) {
   GFAIR_CHECK(it != entries_.end());
   const bool was_runnable = it->second.runnable;
   if (was_runnable != runnable) {
-    const double sign = runnable ? 1.0 : -1.0;
-    ticket_load_shadow_ += sign * it->second.tickets;
     demand_load_ += (runnable ? 1 : -1) * it->second.gang_size;
     InvalidateAggregates(/*membership_changed=*/false);
   }
@@ -105,22 +114,21 @@ const LocalStrideScheduler::Entry& LocalStrideScheduler::GetEntry(JobId id) cons
 
 Pass LocalStrideScheduler::PassOf(JobId id) const { return GetEntry(id).pass; }
 int LocalStrideScheduler::GangOf(JobId id) const { return GetEntry(id).gang_size; }
-Tickets LocalStrideScheduler::TicketsOf(JobId id) const { return GetEntry(id).tickets; }
+Tickets LocalStrideScheduler::TicketsOf(JobId id) const { return GetEntry(id).tickets(); }
 bool LocalStrideScheduler::RunnableOf(JobId id) const { return GetEntry(id).runnable; }
 
-void LocalStrideScheduler::RecomputeTicketLoad() const {
+Tickets LocalStrideScheduler::FreshTicketLoad() const {
   Tickets total = 0.0;
   for (const auto& [id, entry] : entries_) {
     if (entry.runnable) {
-      total += entry.tickets;
+      total += entry.tickets();
     }
   }
-  // The incremental shadow accumulates rounding error the recompute does
-  // not; it must still track the true sum to within float noise.
-  GFAIR_DCHECK_MSG(
-      Abs(total - ticket_load_shadow_) <= 1e-6 * std::max(Tickets(1.0), Abs(total)),
-      "incremental ticket-load sum drifted from full recompute");
-  ticket_load_cache_ = total;
+  return total;
+}
+
+void LocalStrideScheduler::RecomputeTicketLoad() const {
+  ticket_load_cache_ = FreshTicketLoad();
   ticket_load_dirty_ = false;
 }
 

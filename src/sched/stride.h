@@ -40,14 +40,27 @@
 // outnumber live entries. Cost per quantum is O(k log n) for k charged +
 // selected jobs rather than O(n log n) for n residents.
 //
+// Tickets are derived, not stored. Each entry holds its share (gang x
+// weight) and a pointer to a TicketRate — its user's published per-pool
+// {pool_tickets, pool_demand} — and reads its tickets as
+// pool_tickets * share / max(pool_demand, share), the split-stride per-job
+// formula. Re-pricing a user's pool is therefore one rate write by the owner
+// plus an InvalidateTicketLoad() on each hosting server, instead of a
+// per-job SetTickets. Callers with explicit per-job tickets (tests, the
+// frozen oracle, microbenchmarks) use AddJob/SetTickets with a Tickets
+// value: the entry then reads a rate {t, 1} owned by this scheduler on its
+// behalf with share 1, which reproduces t exactly — one read path for both.
+//
 // Aggregates (ticket load, demand load, the sorted resident set) are cached:
-// they are invalidated by the membership/ticket mutations and recomputed at
-// most once per mutation instead of on every read. Charging a quantum —
-// which reads TicketLoad() once per charged job — is therefore O(jobs) per
-// server instead of O(jobs²). The recompute walks `entries_` in container
-// order — insertion order, stable across platforms — so cached reads are
-// bit-identical to uncached ones; an incrementally maintained shadow sum is
-// asserted against the recompute in debug builds.
+// they are invalidated by the membership/ticket mutations (and by the rate
+// owner's InvalidateTicketLoad) and recomputed at most once per mutation
+// instead of on every read. Charging a quantum — which reads TicketLoad()
+// once per charged job — is therefore O(jobs) per server instead of
+// O(jobs²). The recompute walks `entries_` in container order — insertion
+// order, stable across platforms — so cached reads are bit-identical to
+// uncached ones. A missed invalidation (a rate changed without its hosting
+// servers being told) would leave the cache stale; the InvariantChecker's
+// ticket-derivation check compares every cached load with a fresh sum.
 //
 // Entries live in a flat insertion-ordered vector rather than a hash map:
 // per-server job counts are small (tens), so a linear scan over contiguous
@@ -57,8 +70,10 @@
 #ifndef GFAIR_SCHED_STRIDE_H_
 #define GFAIR_SCHED_STRIDE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -73,19 +88,52 @@ struct StrideConfig {
   bool reserve_blocked_gang = true;
 };
 
+// A user's tickets on one pool, published once per (user, generation) and
+// read by every resident entry of that user's pool jobs (see file comment).
+// `pool_demand` is the user's weighted resident demand on the pool (sum of
+// gang x weight): a weighted GPU count, dimensionless like the shares it
+// sums, so it stays a double.
+struct TicketRate {
+  Tickets pool_tickets = 1.0;
+  double pool_demand = 1.0;
+
+  // The tickets of an entry holding `share` (gang x weight, a weighted GPU
+  // count) — evaluated as (T * s) / max(D, s), the historical order.
+  Tickets TicketsFor(double share) const {  // gfair-lint: allow(raw-double-in-sched-api) -- share is gang x weight, not a unit quantity
+    return pool_tickets * share / std::max(pool_demand, share);
+  }
+};
+
 class LocalStrideScheduler {
  public:
   explicit LocalStrideScheduler(int num_gpus, StrideConfig config = {});
+  // Entries point into owned_rates_ nodes: a copy would alias them.
+  LocalStrideScheduler(const LocalStrideScheduler&) = delete;
+  LocalStrideScheduler& operator=(const LocalStrideScheduler&) = delete;
+  LocalStrideScheduler(LocalStrideScheduler&&) = default;
+  LocalStrideScheduler& operator=(LocalStrideScheduler&&) = default;
 
-  // Registers a resident job. Its pass starts at the current virtual time.
+  // Registers a resident job priced by a published rate: its tickets are
+  // rate->TicketsFor(share) on every read. Its pass starts at the current
+  // virtual time. `rate` must outlive the residency; whoever rewrites it
+  // must call InvalidateTicketLoad() on every scheduler hosting one of its
+  // jobs.
+  void AddJob(JobId id, int gang_size, double share,  // gfair-lint: allow(raw-double-in-sched-api) -- share is gang x weight, not a unit quantity
+              const TicketRate* rate);
+  // Registers a resident job holding exactly `tickets` (an owned rate
+  // {tickets, 1} at share 1).
   void AddJob(JobId id, int gang_size, Tickets tickets);
 
   // Unregisters a job (finished or migrated away).
   void RemoveJob(JobId id);
 
-  // Updates a job's tickets (trading epochs, per-job splits changing).
+  // Pins a job to exactly `tickets` from now on (owned rate, share 1).
   // Tickets do not enter the selection key, so the heap needs no rebuild.
   void SetTickets(JobId id, Tickets tickets);
+
+  // A published rate read by resident entries changed: drop the cached
+  // ticket load. O(1); nothing else depends on tickets.
+  void InvalidateTicketLoad() { ticket_load_dirty_ = true; }
 
   // Marks a job (not) selectable without unregistering it.
   void SetRunnable(JobId id, bool runnable);
@@ -103,6 +151,9 @@ class LocalStrideScheduler {
     }
     return ticket_load_cache_;
   }
+  // The same sum recomputed from the entries, bypassing the cache — what
+  // TicketLoad() must equal bit for bit (the ticket-derivation invariant).
+  [[nodiscard]] Tickets FreshTicketLoad() const;
 
   // Total GPUs demanded by resident runnable jobs. O(1) (maintained
   // incrementally; integer arithmetic, so exact).
@@ -151,7 +202,7 @@ class LocalStrideScheduler {
     auto it = FindEntry(id);
     GFAIR_CHECK_MSG(it != entries_.end(), "Charge on unknown job");
     Entry& entry = it->second;
-    entry.pass += Stride::FromService(static_cast<double>(ms), entry.gang_size, entry.tickets);
+    entry.pass += Stride::FromService(static_cast<double>(ms), entry.gang_size, entry.tickets());
     // Virtual time advances with delivered service per runnable ticket. This —
     // not the min-pass floor — is what keeps newcomers from perpetually
     // entering below a waiting job's frozen pass under high churn: short jobs
@@ -179,9 +230,12 @@ class LocalStrideScheduler {
  private:
   struct Entry {
     int gang_size;
-    Tickets tickets;
-    Pass pass;
     bool runnable;
+    double share;             // gang x weight (1 for explicit tickets)
+    const TicketRate* rate;   // published pool rate, or owned_rates_[id]
+    Pass pass;
+
+    Tickets tickets() const { return rate->TicketsFor(share); }
   };
   using EntryList = std::vector<std::pair<JobId, Entry>>;
 
@@ -228,6 +282,8 @@ class LocalStrideScheduler {
   // A membership or ticket mutation changed the aggregates.
   void InvalidateAggregates(bool membership_changed);
   void RecomputeTicketLoad() const;
+  // The owned rate backing an explicit-ticket entry, set to {tickets, 1}.
+  const TicketRate* OwnRate(JobId id, Tickets tickets);
 
   // --- selection heap (see file comment) ---
   uint64_t TieOf(JobId id, int gang_size) const {
@@ -279,13 +335,16 @@ class LocalStrideScheduler {
   mutable std::vector<HeapItem> heap_;
   mutable std::vector<HeapItem> popped_scratch_;  // PlanQuantum re-push buffer
 
+  // Rates of explicit-ticket entries, owned here on the entry's behalf and
+  // erased with it. Node-based, so entry pointers survive rehashing; never
+  // iterated. Empty for schedulers whose jobs are all rate-priced.
+  std::unordered_map<JobId, TicketRate> owned_rates_;
+
   // --- cached aggregates ---
   // Authoritative ticket load: lazily recomputed in entries_ order so the
   // value matches an uncached recompute bit-for-bit.
   mutable Tickets ticket_load_cache_;
   mutable bool ticket_load_dirty_ = false;  // empty scheduler sums to 0
-  // Shadow incremental sum, asserted against the recompute in debug builds.
-  Tickets ticket_load_shadow_;
   // Runnable demand is a sum of small ints — incremental updates are exact.
   int demand_load_ = 0;
   mutable std::vector<JobId> resident_cache_;

@@ -42,13 +42,12 @@ bool TradeCoordinator::UserSpeedup(UserId user, GpuGeneration fast,
                                    GpuGeneration slow, Speedup* out) const {
   GFAIR_CHECK(out != nullptr);
   // Demand-weighted mean over the user's resident jobs with usable profiles.
-  // Sorted order: the accumulation is floating-point, so summation order
-  // reaches the quantized speedup — hash-set order would make the
-  // lender/borrower matching platform-dependent.
+  // Pool lists are id-ordered: the accumulation is floating-point, so
+  // summation order reaches the quantized speedup and must not vary.
   double weight_sum = 0.0;
   Speedup weighted;
   for (GpuGeneration gen : kAllGenerations) {
-    for (JobId id : common::SortedKeys(residency_.PoolJobs(user, gen))) {
+    for (JobId id : residency_.PoolJobs(user, gen)) {
       const Job& job = env_.jobs.Get(id);
       const auto& model = env_.zoo.Get(job.model);
       if (!model.FitsGeneration(fast) || !model.FitsGeneration(slow)) {
@@ -81,14 +80,12 @@ void TradeCoordinator::RunProbes() {
     if (budget <= 0) {
       break;
     }
-    // Snapshot: EmitMigration mutates the residency sets. Sorted within each
-    // pool so WHICH job gets the probe migration does not depend on hash
-    // order.
+    // Snapshot: EmitMigration mutates the residency lists. Id order within
+    // each pool fixes WHICH job gets the probe migration.
     std::vector<JobId> resident;
     for (GpuGeneration gen : kAllGenerations) {
-      for (JobId id : common::SortedKeys(residency_.PoolJobs(user, gen))) {
-        resident.push_back(id);
-      }
+      const std::vector<JobId>& pool = residency_.PoolJobs(user, gen);
+      resident.insert(resident.end(), pool.begin(), pool.end());
     }
     bool probed = false;
     for (JobId id : resident) {
@@ -217,12 +214,12 @@ void TradeCoordinator::RebalanceResidency(const TradeOutcome& outcome) {
         break;
       }
 
-      // Smallest gang that the destination surplus still covers. Sorted:
-      // the smallest-gang tie now breaks to the lowest job id instead of
-      // whichever the hash order visited first.
+      // Smallest gang that the destination surplus still covers; the pool
+      // list is id-ordered, so a smallest-gang tie breaks to the lowest job
+      // id.
       JobId candidate = JobId::Invalid();
       int candidate_gang = INT32_MAX;
-      for (JobId id : common::SortedKeys(residency_.PoolJobs(user, kAllGenerations[over]))) {
+      for (JobId id : residency_.PoolJobs(user, kAllGenerations[over])) {
         const Job& job = env_.jobs.Get(id);
         const ResidencyIndex::JobInfo& info = residency_.Info(id);
         if (info.precopying ||

@@ -17,25 +17,31 @@ EventId Simulator::After(SimDuration delay, EventCallback callback) {
 
 EventId Simulator::Every(SimDuration period, std::function<void()> callback) {
   GFAIR_CHECK(period > 0);
-  // Each firing reschedules itself under a fresh event id; the shared chain
-  // cell records that live id on every re-push so Cancel() — keyed by the
-  // first id, the caller's stable handle — can remove the pending event from
-  // the queue. The cancelled flag additionally guards the (re-entrant) case
-  // where the chain is cancelled from inside its own callback.
+  // Each firing reschedules itself under a fresh event id; the chain records
+  // that live id on every re-push so Cancel() — keyed by the first id, the
+  // caller's stable handle — can remove the pending event from the queue.
+  // The cancelled flag additionally guards the (re-entrant) case where the
+  // chain is cancelled from inside its own callback.
   auto chain = std::make_shared<RepeatingChain>();
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, period, callback = std::move(callback), chain, tick]() {
-    if (chain->cancelled) {
-      return;
-    }
-    callback();
-    if (!chain->cancelled) {
-      chain->live = queue_.Push(now_ + period, *tick);
-    }
-  };
-  chain->live = queue_.Push(now_ + period, *tick);
+  chain->callback = std::move(callback);
+  chain->period = period;
+  chain->live = PushRepeating(chain);
   repeating_chains_.emplace_back(chain->live, chain);
   return chain->live;
+}
+
+EventId Simulator::PushRepeating(const std::shared_ptr<RepeatingChain>& chain) {
+  return queue_.Push(now_ + chain->period, [this, chain]() { FireRepeating(chain); });
+}
+
+void Simulator::FireRepeating(const std::shared_ptr<RepeatingChain>& chain) {
+  if (chain->cancelled) {
+    return;
+  }
+  chain->callback();
+  if (!chain->cancelled) {
+    chain->live = PushRepeating(chain);
+  }
 }
 
 bool Simulator::Cancel(EventId id) {

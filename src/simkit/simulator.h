@@ -62,13 +62,21 @@ class Simulator {
 
  private:
   // A repeating chain re-pushes itself under a fresh event id on every
-  // firing. The shared cell tracks the chain's currently pending event id so
-  // Cancel() — keyed by the chain's first id — can remove the live event from
-  // the queue instead of leaving a stale callback behind.
+  // firing. The chain owns the user callback; each queued event holds the
+  // chain (never the reverse), so there is no ownership cycle: a cancelled
+  // or abandoned chain is freed with its last queued event or with the
+  // simulator. `live` tracks the currently pending event id so Cancel() —
+  // keyed by the chain's first id — can remove the live event from the queue
+  // instead of leaving a stale callback behind.
   struct RepeatingChain {
+    std::function<void()> callback;
+    SimDuration period = 0;
     bool cancelled = false;
     EventId live;
   };
+  // Fires one link of `chain` and queues the next.
+  void FireRepeating(const std::shared_ptr<RepeatingChain>& chain);
+  EventId PushRepeating(const std::shared_ptr<RepeatingChain>& chain);
   // A handful of chains exist at a time (periodic scheduler timers), but
   // one-shot cancels consult this on the per-quantum path first — a linear
   // scan beats hashing at this size.

@@ -41,6 +41,13 @@ struct CanSetRunnable<T, std::void_t<decltype(std::declval<T>().SetRunnable(
                              std::declval<JobId>(), true))>> : std::true_type {};
 
 template <typename T, typename = void>
+struct CanInvalidateTicketLoad : std::false_type {};
+template <typename T>
+struct CanInvalidateTicketLoad<
+    T, std::void_t<decltype(std::declval<T>().InvalidateTicketLoad())>>
+    : std::true_type {};
+
+template <typename T, typename = void>
 struct CanCharge : std::false_type {};
 template <typename T>
 struct CanCharge<T, std::void_t<decltype(std::declval<T>().Charge(
@@ -53,6 +60,12 @@ struct HasSetDown : std::false_type {};
 template <typename T>
 struct HasSetDown<T, std::void_t<decltype(std::declval<T>().SetDown(
                          std::declval<ServerId>(), true))>> : std::true_type {};
+
+template <typename T, typename = void>
+struct HasInvalidateTicketLoad : std::false_type {};
+template <typename T>
+struct HasInvalidateTicketLoad<T, std::void_t<decltype(std::declval<T>().InvalidateTicketLoad(
+                                      std::declval<ServerId>()))>> : std::true_type {};
 
 template <typename T, typename = void>
 struct HasClearPlanDirty : std::false_type {};
@@ -80,6 +93,8 @@ static_assert(!CanSetTickets<StrideThroughView>::value,
               "SetTickets must not be callable through the view");
 static_assert(!CanSetRunnable<StrideThroughView>::value,
               "SetRunnable must not be callable through the view");
+static_assert(!CanInvalidateTicketLoad<StrideThroughView>::value,
+              "InvalidateTicketLoad must not be callable through the view");
 static_assert(!CanCharge<StrideThroughView>::value,
               "Charge must not be callable through the view");
 
@@ -88,6 +103,7 @@ static_assert(!CanCharge<StrideThroughView>::value,
 static_assert(CanAddJob<LocalStrideScheduler&>::value);
 static_assert(CanSetTickets<LocalStrideScheduler&>::value);
 static_assert(CanSetRunnable<LocalStrideScheduler&>::value);
+static_assert(CanInvalidateTicketLoad<LocalStrideScheduler&>::value);
 static_assert(CanCharge<LocalStrideScheduler&>::value);
 
 // Index-level mutators do not exist on the view at all.
@@ -95,7 +111,10 @@ static_assert(!HasSetDown<const ClusterStateView&>::value,
               "the view must not expose SetDown");
 static_assert(!HasClearPlanDirty<const ClusterStateView&>::value,
               "the view must not expose ClearPlanDirty");
+static_assert(!HasInvalidateTicketLoad<const ClusterStateView&>::value,
+              "the view must not expose InvalidateTicketLoad");
 static_assert(HasSetDown<ClusterStateIndex&>::value);
+static_assert(HasInvalidateTicketLoad<ClusterStateIndex&>::value);
 static_assert(HasClearPlanDirty<ClusterStateIndex&>::value);
 
 // The view is a value type: two pointers, trivially copyable, cheap to pass
@@ -109,7 +128,8 @@ TEST(ClusterStateViewTest, ReadsMatchIndex) {
   const ServerId s0(0);
   const ServerId s1(1);
   ClusterStateIndex index(cluster, StrideConfig{});
-  index.AddJob(s0, JobId(0), /*gang=*/2, /*tickets=*/10.0);
+  const TicketRate rate{10.0, 2.0};  // share 2 of demand 2: 10 tickets
+  index.AddJob(s0, JobId(0), /*gang=*/2, /*share=*/2.0, &rate);
 
   const ClusterStateView view(cluster, index);
   EXPECT_EQ(view.num_servers(), index.num_servers());

@@ -35,6 +35,45 @@ TEST(TicketSplitTest, GangProportionalWithinUser) {
   EXPECT_NEAR(gang_tickets + 4 * single_tickets, 1.0, 1e-9);
 }
 
+TEST(TicketSplitTest, RepricingLeavesSteadyServersSkippable) {
+  // Two 2-GPU servers and one user with four 1-GPU jobs: two per server,
+  // demand == capacity, so every tick skips both. A fifth arrival lands on
+  // server 0 and re-prices all five jobs through the user's published
+  // rate — server 1's residents included — but only server 0's selectable
+  // set changed, so the next tick must still skip server 1.
+  ExperimentConfig config;
+  config.topology = cluster::HomogeneousTopology(2, 2);
+  Experiment exp(config);
+  const UserId a = exp.users().Create("a", 1.0).id;
+  exp.UseGandivaFair({});
+  for (int i = 0; i < 4; ++i) {
+    exp.SubmitAt(kTimeZero, a, "DCGAN", 1, Hours(100));
+  }
+  exp.Run(Minutes(3));
+  GandivaFairScheduler& g = *exp.gandiva();
+  ASSERT_TRUE(g.last_plan().servers.empty());
+  ASSERT_EQ(g.last_plan().skipped_vt.size(), 2u);
+
+  const JobId late = exp.SubmitAt(Minutes(3) + Seconds(30), a, "DCGAN", 1, Hours(100));
+  exp.Run(Minutes(3) + Seconds(30));
+  ASSERT_EQ(exp.jobs().Get(late).server, ServerId(0));
+  const GpuGeneration gen = exp.cluster().server(ServerId(1)).generation();
+  for (JobId id : g.stride_for(ServerId(1)).ResidentJobs()) {
+    EXPECT_EQ(g.stride_for(ServerId(1)).TicketsOf(id),
+              g.PerJobTickets(a, gen, exp.jobs().Get(id)));
+    EXPECT_EQ(g.stride_for(ServerId(1)).TicketsOf(id), Tickets(1.0 / 5.0));
+  }
+  EXPECT_FALSE(g.cluster_index().plan_dirty(ServerId(1)));
+
+  exp.Run(Minutes(4));
+  const SchedulePlan& plan = g.last_plan();
+  ASSERT_EQ(plan.servers.size(), 1u);
+  EXPECT_EQ(plan.servers[0].server, ServerId(0));
+  ASSERT_EQ(plan.skipped_vt.size(), 1u);
+  EXPECT_EQ(plan.skipped_vt[0].first, ServerId(1));
+  EXPECT_TRUE(g.CheckInvariants().empty());
+}
+
 TEST(TicketSplitTest, MixedGangUserNotPenalizedOnBigJob) {
   // User A: one 8-gang + eight 1-GPU jobs (demand 16). User B: sixteen
   // 1-GPU jobs. Equal tickets, 2x8 servers. Under equal per-job splitting

@@ -47,13 +47,14 @@ Experiment MakeBusyCluster() {
 
 TEST(InvariantCheckerTest, RegistryListsAllInvariants) {
   const std::vector<std::string> names = InvariantChecker::RegisteredNames();
-  ASSERT_EQ(names.size(), 6u);
+  ASSERT_EQ(names.size(), 7u);
   EXPECT_EQ(names[0], "gang-residency");
   EXPECT_EQ(names[1], "entitlement-conservation");
   EXPECT_EQ(names[2], "pass-monotonicity");
   EXPECT_EQ(names[3], "delta-ordering");
   EXPECT_EQ(names[4], "down-holds-nothing");
   EXPECT_EQ(names[5], "gpu-time-conservation");
+  EXPECT_EQ(names[6], "ticket-derivation");
 }
 
 TEST(InvariantCheckerTest, CleanThroughoutOversubscribedRun) {
@@ -129,6 +130,39 @@ TEST(InvariantCheckerTest, DetectsDownServerHoldingState) {
       << Joined(violations);
 
   exp.cluster().SetServerUp(busy->id(), true);
+}
+
+TEST(InvariantCheckerTest, DetectsStaleTicketsAndMissedInvalidation) {
+  Experiment exp = MakeBusyCluster();
+  const UserId a = exp.users().Create("a").id;
+  exp.UseGandivaFair({});
+  for (int i = 0; i < 6; ++i) {
+    exp.SubmitAt(kTimeZero, a, "DCGAN", 1, Hours(10));
+  }
+  exp.Run(Minutes(5));
+  GandivaFairScheduler& g = *exp.gandiva();
+  ASSERT_TRUE(g.CheckInvariants().empty());  // also leaves every load cached
+
+  // Re-price the user's pool behind the scheduler's back: the rate moves but
+  // no hosting server is told, so residents disagree with the per-job split
+  // and every hosting server's cached load is stale.
+  const JobId job = JobId(0);
+  const ServerId home = exp.jobs().Get(job).server;
+  const cluster::GpuGeneration gen = exp.cluster().server(home).generation();
+  ResidencyIndex& residency = const_cast<ResidencyIndex&>(g.residency());
+  TicketRate& rate = residency.PoolRate(a, gen);
+  const TicketRate saved = rate;
+  rate.pool_tickets = rate.pool_tickets * 3.0;
+  const auto violations = g.CheckInvariants();
+  EXPECT_TRUE(AnyStartsWith(violations,
+                            "ticket-derivation: resident tickets differ from the per-job split"))
+      << Joined(violations);
+  EXPECT_TRUE(AnyStartsWith(violations,
+                            "ticket-derivation: cached ticket load differs from a fresh sum"))
+      << Joined(violations);
+
+  rate = saved;  // restore so teardown stays consistent
+  EXPECT_TRUE(g.CheckInvariants().empty());
 }
 
 }  // namespace

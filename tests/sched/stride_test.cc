@@ -225,8 +225,7 @@ TEST(StrideTest, VirtualTimeMonotone) {
 
 TEST(StrideTest, CachedLoadsTrackMutations) {
   // TicketLoad/DemandLoad are cached; every mutation class must invalidate
-  // (or incrementally update) them. In debug builds the cached ticket load is
-  // additionally asserted against an incremental shadow sum on every read.
+  // (or incrementally update) them.
   LocalStrideScheduler stride(8);
   stride.AddJob(JobId(0), 2, 1.5);
   stride.AddJob(JobId(1), 4, 2.5);
@@ -257,6 +256,55 @@ TEST(StrideTest, CachedLoadsTrackMutations) {
   stride.Charge(JobId(2), 1000);
   EXPECT_DOUBLE_EQ(stride.TicketLoad().raw(), before.raw());
   EXPECT_EQ(stride.DemandLoad(), 3);
+}
+
+TEST(StrideTest, ExplicitTicketsReadBackExactly) {
+  // Explicit tickets ride an owned rate {t, 1} at share 1; (t * 1) / 1 must
+  // reproduce t bit for bit, including values with no short binary form.
+  LocalStrideScheduler stride(8);
+  const Tickets odd = 0.1 + 0.2;
+  stride.AddJob(JobId(0), 1, odd);
+  stride.AddJob(JobId(1), 2, 1e-6);
+  stride.AddJob(JobId(2), 1, 3.7e5 / 3.0);
+  EXPECT_EQ(stride.TicketsOf(JobId(0)), odd);
+  EXPECT_EQ(stride.TicketsOf(JobId(1)), Tickets(1e-6));
+  EXPECT_EQ(stride.TicketsOf(JobId(2)), Tickets(3.7e5 / 3.0));
+  EXPECT_EQ(stride.TicketLoad(), odd + Tickets(1e-6) + Tickets(3.7e5 / 3.0));
+
+  stride.SetTickets(JobId(0), 2.0 / 3.0);
+  EXPECT_EQ(stride.TicketsOf(JobId(0)), Tickets(2.0 / 3.0));
+  // A rate-priced entry pinned by SetTickets drops its rate for the owned one.
+  TicketRate rate{7.0, 3.0};
+  stride.AddJob(JobId(3), 1, /*share=*/1.0, &rate);
+  EXPECT_EQ(stride.TicketsOf(JobId(3)), rate.TicketsFor(1.0));
+  stride.SetTickets(JobId(3), 0.7);
+  rate.pool_tickets = 100.0;
+  EXPECT_EQ(stride.TicketsOf(JobId(3)), Tickets(0.7));
+  // The owned rate dies with the entry; a re-added job starts afresh.
+  stride.RemoveJob(JobId(0));
+  stride.AddJob(JobId(0), 1, 5.0);
+  EXPECT_EQ(stride.TicketsOf(JobId(0)), Tickets(5.0));
+}
+
+TEST(StrideTest, RatePricedEntriesFollowTheirRate) {
+  LocalStrideScheduler stride(8);
+  TicketRate rate{6.0, 4.0};
+  stride.AddJob(JobId(0), 2, /*share=*/2.0, &rate);  // 6 * 2 / 4 = 3
+  stride.AddJob(JobId(1), 1, /*share=*/0.5, &rate);  // 6 * 0.5 / 4 = 0.75
+  stride.AddJob(JobId(2), 1, /*share=*/8.0, &rate);  // share > demand: 6 * 8 / 8
+  EXPECT_EQ(stride.TicketsOf(JobId(0)), Tickets(3.0));
+  EXPECT_EQ(stride.TicketsOf(JobId(1)), Tickets(0.75));
+  EXPECT_EQ(stride.TicketsOf(JobId(2)), Tickets(6.0));
+  EXPECT_EQ(stride.TicketLoad(), Tickets(9.75));
+
+  // The owner re-prices: reads follow at once, the cached load only after
+  // the invalidation the owner owes.
+  rate.pool_demand = 2.0;
+  EXPECT_EQ(stride.TicketsOf(JobId(0)), Tickets(6.0));
+  EXPECT_EQ(stride.TicketLoad(), Tickets(9.75));
+  EXPECT_EQ(stride.FreshTicketLoad(), Tickets(6.0 + 1.5 + 6.0));
+  stride.InvalidateTicketLoad();
+  EXPECT_EQ(stride.TicketLoad(), stride.FreshTicketLoad());
 }
 
 TEST(StrideTest, ResidentJobsCachedViewStaysSortedAndFresh) {

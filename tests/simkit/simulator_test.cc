@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace gfair::simkit {
@@ -102,6 +103,30 @@ TEST(SimulatorTest, CancelRepeatingFromInsideCallback) {
   sim.RunUntil(200);
   EXPECT_EQ(fires, 3);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, DestroyingSimulatorReleasesRepeatingChains) {
+  // Each chain's callback captures a token. Once the simulator is gone,
+  // nothing may still hold one — neither a live chain nor a cancelled one:
+  // a chain that owned itself would leak its callback and every capture.
+  auto live_token = std::make_shared<int>(0);
+  auto cancelled_token = std::make_shared<int>(0);
+  const std::weak_ptr<int> live_watch = live_token;
+  const std::weak_ptr<int> cancelled_watch = cancelled_token;
+  {
+    Simulator sim;
+    sim.Every(10, [token = std::move(live_token)] { ++*token; });
+    const EventId cancelled =
+        sim.Every(7, [token = std::move(cancelled_token)] { ++*token; });
+    sim.RunUntil(25);
+    ASSERT_FALSE(cancelled_watch.expired());
+    EXPECT_EQ(*cancelled_watch.lock(), 3);
+    EXPECT_TRUE(sim.Cancel(cancelled));
+    ASSERT_FALSE(live_watch.expired());
+    EXPECT_EQ(*live_watch.lock(), 2);
+  }
+  EXPECT_TRUE(live_watch.expired());
+  EXPECT_TRUE(cancelled_watch.expired());
 }
 
 TEST(SimulatorTest, CancelOneShot) {
