@@ -5,6 +5,7 @@
 //  * crash storms never corrupt accounting invariants.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,14 @@ struct TradeSweepCase {
   int jobs_per_user;
   uint64_t seed;
 };
+
+// Prints the case by value. gtest's default dump of this struct shows the
+// model names' addresses and the padding bytes, which differ from run to run,
+// so the registered test names would never be the same twice.
+void PrintTo(const TradeSweepCase& c, std::ostream* os) {
+  *os << c.low_model << " vs " << c.high_model << " " << c.jobs_per_user
+      << " jobs seed " << c.seed;
+}
 
 class TradingSafety : public ::testing::TestWithParam<TradeSweepCase> {};
 
