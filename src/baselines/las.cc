@@ -125,6 +125,8 @@ void LeastAttainedServiceScheduler::Tick() {
   for (const auto& server : env_.cluster.servers()) {
     ApplyServer(server.id(), /*allow_preempt=*/true);
   }
+  // Jobs the preemptions caught at their finish instant finish now.
+  env_.exec.FinishSuspendedAtFinish();
 }
 
 }  // namespace gfair::baselines

@@ -135,15 +135,18 @@ void Executor::ResumeWithOverlap(JobId id, SimDuration overlap_allowance) {
   GFAIR_CHECK(remaining > 0.0);
   const SimDuration work_time =
       static_cast<SimDuration>(std::ceil(remaining / seg.rate * kSecond));
-  sim_.ArmTimerAt(FinishTimerFor(id), seg.start + seg.warmup + work_time);
+  seg.finish_at = seg.start + seg.warmup + work_time;
+  sim_.ArmTimerAt(FinishTimerFor(id), seg.finish_at);
 
   if (id.value() >= segments_.size()) {
     segments_.resize(id.value() + 1);
   }
   seg.active = true;
   seg.running_pos = static_cast<uint32_t>(running_list_.size());
+  seg.next_sync = static_cast<uint32_t>(sync_points_.size());
   running_list_.push_back(id);
   segments_[id.value()] = seg;
+  OpenHold(job.user, seg.gen, job.gang_size, seg.start);
   job.state = JobState::kRunning;
   job.num_resumes += 1;
   job.overhead_ms += seg.warmup;
@@ -160,23 +163,61 @@ Executor::RunSegment& Executor::SegmentOf(JobId id) {
   return segments_[id.value()];
 }
 
-void Executor::CloseSegment(Job& job, bool cancel_finish_event) {
-  RunSegment& seg = SegmentOf(job.id);
-  const SimTime now = sim_.Now();
-  const SimDuration elapsed = now - seg.start;
-
+void Executor::FoldChunk(Job& job, RunSegment& seg, SimTime until) {
+  const SimDuration elapsed = until - seg.start;
   // elapsed == 0 contributes exactly 0.0 to both accumulators, so skipping
   // the arithmetic is bit-identical — and it is the common case at quantum
-  // edges, where SyncAll has just restarted every segment at `now`.
-  if (elapsed > 0) {
-    job.completed_minibatches = std::min(
-        job.total_minibatches, job.completed_minibatches + SegmentProgress(seg, elapsed));
-    job.gpu_ms_by_gen[cluster::GenerationIndex(seg.gen)] +=
-        static_cast<double>(elapsed) * job.gang_size;
-    if (on_gpu_time_) {
-      on_gpu_time_(job.user, seg.gen, seg.start, now, job.gang_size);
-    }
+  // edges, where a segment closes at the sync point its chunk starts from.
+  if (elapsed <= 0) {
+    return;
   }
+  job.completed_minibatches = std::min(
+      job.total_minibatches, job.completed_minibatches + SegmentProgress(seg, elapsed));
+  job.gpu_ms_by_gen[cluster::GenerationIndex(seg.gen)] +=
+      static_cast<double>(elapsed) * job.gang_size;
+  seg.warmup = std::max<SimDuration>(0, seg.warmup - elapsed);
+  seg.start = until;
+}
+
+SimTime Executor::FoldToNow(Job& job, RunSegment& seg) const {
+  // The same chunks, in the same order, as flushing the segment at every
+  // sync point would have produced: the float progress sum is bit-identical.
+  for (; seg.next_sync < sync_points_.size(); ++seg.next_sync) {
+    FoldChunk(job, seg, sync_points_[seg.next_sync]);
+  }
+  const SimTime chunk_start = seg.start;
+  FoldChunk(job, seg, sim_.Now());
+  return chunk_start;
+}
+
+Executor::PoolHold& Executor::HoldOf(UserId user, GpuGeneration pool) {
+  if (user.value() >= pool_holds_.size()) {
+    pool_holds_.resize(user.value() + 1);
+  }
+  return pool_holds_[user.value()][cluster::GenerationIndex(pool)];
+}
+
+void Executor::OpenHold(UserId user, GpuGeneration pool, int gang, SimTime start) {
+  PoolHold& hold = HoldOf(user, pool);
+  hold.gpus += gang;
+  hold.gang_start_ms += static_cast<int64_t>(gang) * start;
+}
+
+void Executor::CloseHold(UserId user, GpuGeneration pool, int gang,
+                         SimTime chunk_start) {
+  PoolHold& hold = HoldOf(user, pool);
+  hold.gpus -= gang;
+  hold.gang_start_ms -= static_cast<int64_t>(gang) * chunk_start;
+  const SimTime now = sim_.Now();
+  const int64_t gpu_ms = static_cast<int64_t>(gang) * (now - chunk_start);
+  if (gpu_ms > 0 && on_gpu_credit_) {
+    on_gpu_credit_(user, pool, now, gpu_ms);
+  }
+}
+
+void Executor::CloseSegment(Job& job, bool cancel_finish_event) {
+  RunSegment& seg = SegmentOf(job.id);
+  CloseHold(job.user, seg.gen, job.gang_size, FoldToNow(job, seg));
 
   if (cancel_finish_event) {
     sim_.DisarmTimer(finish_timer_[job.id.value()]);
@@ -193,11 +234,32 @@ void Executor::CloseSegment(Job& job, bool cancel_finish_event) {
 void Executor::Suspend(JobId id) {
   Job& job = jobs_.Get(id);
   GFAIR_CHECK_MSG(job.state == JobState::kRunning, "Suspend requires a running job");
+  const bool done = FinishDue(id);
   CloseSegment(job, /*cancel_finish_event=*/true);
   job.state = JobState::kSuspended;
   job.num_suspends += 1;
   job.overhead_ms += CostsFor(job.model).suspend;
+  if (done) {
+    // Caught at its finish instant, ahead of the finish event: the work is
+    // done (as the event itself would have recorded; see OnFinishEvent).
+    job.completed_minibatches = job.total_minibatches;
+    done_at_suspend_.push_back(id);
+  }
   job.checkpointed_minibatches = job.completed_minibatches;
+}
+
+void Executor::FinishSuspendedAtFinish() {
+  if (done_at_suspend_.empty()) {
+    return;
+  }
+  std::vector<JobId> done;
+  done.swap(done_at_suspend_);  // the callbacks may suspend more jobs
+  for (JobId id : done) {
+    Job& job = jobs_.Get(id);
+    GFAIR_CHECK_MSG(job.state == JobState::kSuspended,
+                    "a job caught at its finish instant was moved before finishing");
+    CompleteJob(job);
+  }
 }
 
 void Executor::ApplyDelta(const ScheduleOp* ops, size_t count) {
@@ -253,9 +315,9 @@ void Executor::ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
   // gfair-parallel-apply-begin — the prepare fan-out. Only per-job /
   // per-server state of the slice's own server may be touched here; every
   // order-sensitive or global concern (running-list edits, timer
-  // arms/disarms, the acct_ accumulators, callbacks, RNG) belongs to the
-  // serial commit pass. gfair_lint's parallel-region-write rule enforces
-  // the denylist over this region.
+  // arms/disarms, the acct_ accumulators, pool holds, callbacks, RNG)
+  // belongs to the serial commit pass. gfair_lint's parallel-region-write
+  // rule enforces the denylist over this region.
   // Parallel prepare: per-job and per-server state only. Slices target
   // pairwise-distinct servers (caller contract), so two chunks never touch
   // the same job, segment slot, or server occupancy.
@@ -280,7 +342,7 @@ void Executor::ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
   // gfair-parallel-apply-end
 
   // Serial commit, in op order: exactly the sequence of running-list edits,
-  // timer arms/disarms, counter bumps and accounting flushes the serial
+  // timer arms/disarms, counter bumps, pool holds and credits the serial
   // ApplyDelta performs — same event ids, same ledger stream.
   for (size_t s = 0; s < num_slices; ++s) {
     const PreparedOp* prepared = prepared_scratch_.data() + offsets[s];
@@ -317,16 +379,21 @@ Executor::PreparedOp Executor::PrepareResume(JobId id, SimDuration overlap_allow
   GFAIR_CHECK(remaining > 0.0);
   const SimDuration work_time =
       static_cast<SimDuration>(std::ceil(remaining / seg.rate * kSecond));
+  seg.finish_at = seg.start + seg.warmup + work_time;
 
   seg.active = true;  // running_pos is assigned at commit
+  seg.next_sync = static_cast<uint32_t>(sync_points_.size());
   segments_[id.value()] = seg;
   job.state = JobState::kRunning;
   job.num_resumes += 1;
   job.overhead_ms += seg.warmup;
 
   PreparedOp out;
-  out.finish_at = seg.start + seg.warmup + work_time;
+  out.finish_at = seg.finish_at;
   out.overlap_hidden = hidden;
+  out.user = job.user;
+  out.gen = seg.gen;
+  out.gpus = job.gang_size;
   return out;
 }
 
@@ -335,29 +402,23 @@ Executor::PreparedOp Executor::PrepareSuspend(JobId id) {
   GFAIR_CHECK_MSG(job.state == JobState::kRunning, "Suspend requires a running job");
   RunSegment& seg = segments_[id.value()];
   GFAIR_CHECK_MSG(seg.active, "job has no active run segment");
-  const SimTime now = sim_.Now();
-  const SimDuration elapsed = now - seg.start;
-
-  if (elapsed > 0) {
-    job.completed_minibatches = std::min(
-        job.total_minibatches, job.completed_minibatches + SegmentProgress(seg, elapsed));
-    job.gpu_ms_by_gen[cluster::GenerationIndex(seg.gen)] +=
-        static_cast<double>(elapsed) * job.gang_size;
-  }
+  PreparedOp out;
+  out.done = seg.finish_at <= sim_.Now();
+  out.chunk_start = FoldToNow(job, seg);
   cluster_.server(job.server).Release(job.id);
   // seg.active flips at commit, together with the running-list edit it guards.
 
   job.state = JobState::kSuspended;
   job.num_suspends += 1;
   job.overhead_ms += model_costs_[job.model.value()].suspend;
+  if (out.done) {
+    job.completed_minibatches = job.total_minibatches;  // see Suspend
+  }
   job.checkpointed_minibatches = job.completed_minibatches;
 
-  PreparedOp out;
   out.user = job.user;
   out.gen = seg.gen;
-  out.acct_start = seg.start;
   out.gpus = job.gang_size;
-  out.flush_accounting = elapsed > 0;
   return out;
 }
 // gfair-parallel-apply-end
@@ -368,13 +429,14 @@ void Executor::CommitOp(const ScheduleOp& op, const PreparedOp& prepared) {
     seg.running_pos = static_cast<uint32_t>(running_list_.size());
     running_list_.push_back(op.job);
     sim_.ArmTimerAt(FinishTimerFor(op.job), prepared.finish_at);
+    OpenHold(prepared.user, prepared.gen, prepared.gpus, seg.start);
     acct_.AddWarmupBubble(seg.warmup, common::ReduceToken{});
     acct_.AddOverlapSaved(prepared.overlap_hidden, common::ReduceToken{});
   } else {
     sim_.DisarmTimer(finish_timer_[op.job.value()]);
-    if (prepared.flush_accounting && on_gpu_time_) {
-      on_gpu_time_(prepared.user, prepared.gen, prepared.acct_start, sim_.Now(),
-                   prepared.gpus);
+    CloseHold(prepared.user, prepared.gen, prepared.gpus, prepared.chunk_start);
+    if (prepared.done) {
+      done_at_suspend_.push_back(op.job);
     }
     const JobId moved = running_list_.back();
     running_list_[seg.running_pos] = moved;
@@ -405,6 +467,11 @@ void Executor::OnFinishEvent(JobId id) {
   Job& job = jobs_.Get(id);
   GFAIR_CHECK(job.state == JobState::kRunning);
   CloseSegment(job, /*cancel_finish_event=*/false);
+  CompleteJob(job);
+}
+
+void Executor::CompleteJob(Job& job) {
+  const JobId id = job.id;
   // Guard against floating-point shortfall: the event fires at ceil() time.
   job.completed_minibatches = job.total_minibatches;
   job.state = JobState::kFinished;
@@ -657,16 +724,38 @@ double Executor::SampleObservedRate(JobId id) {
   return segments_[id.value()].rate * noise;
 }
 
-void Executor::SyncAll() {
-  // Snapshot first: an accounting callback could in principle suspend a job
-  // and mutate running_list_ under the iteration.
-  sync_scratch_.assign(running_list_.begin(), running_list_.end());
-  for (size_t i = 0; i < sync_scratch_.size(); ++i) {
-    if (i + 1 < sync_scratch_.size()) {
-      jobs_.Prefetch(sync_scratch_[i + 1]);
-      PrefetchJobState(sync_scratch_[i + 1]);
+void Executor::SyncPoint() {
+  const SimTime now = sim_.Now();
+  // With nothing running there is nothing to credit or split; a repeat at
+  // the same instant would only split chunks at zero length.
+  if (running_list_.empty() || (!sync_points_.empty() && sync_points_.back() == now)) {
+    return;
+  }
+  for (size_t u = 0; u < pool_holds_.size(); ++u) {
+    for (size_t g = 0; g < cluster::kNumGenerations; ++g) {
+      PoolHold& hold = pool_holds_[u][g];
+      const int64_t accrued = hold.gpus * now - hold.gang_start_ms;
+      GFAIR_DCHECK(accrued >= 0);
+      if (accrued > 0 && on_gpu_credit_) {
+        on_gpu_credit_(UserId(static_cast<uint32_t>(u)), cluster::kAllGenerations[g], now,
+                       accrued);
+      }
+      hold.gang_start_ms = hold.gpus * now;
     }
-    SyncProgress(sync_scratch_[i]);
+  }
+  sync_points_.push_back(now);
+}
+
+void Executor::SyncAll() {
+  SyncPoint();
+  // The sync point credited every open chunk, so folding adds no credit.
+  for (size_t i = 0; i < running_list_.size(); ++i) {
+    if (i + 1 < running_list_.size()) {
+      jobs_.Prefetch(running_list_[i + 1]);
+      PrefetchJobState(running_list_[i + 1]);
+    }
+    const JobId id = running_list_[i];
+    FoldToNow(jobs_.Get(id), segments_[id.value()]);
   }
 }
 
@@ -676,22 +765,10 @@ void Executor::SyncProgress(JobId id) {
   }
   Job& job = jobs_.Get(id);
   RunSegment& seg = segments_[id.value()];
-  const SimTime now = sim_.Now();
-  const SimDuration elapsed = now - seg.start;
-  if (elapsed <= 0) {
-    return;
-  }
-  const double progressed = SegmentProgress(seg, elapsed);
-  job.completed_minibatches =
-      std::min(job.total_minibatches, job.completed_minibatches + progressed);
-  job.gpu_ms_by_gen[cluster::GenerationIndex(seg.gen)] +=
-      static_cast<double>(elapsed) * job.gang_size;
-  if (on_gpu_time_) {
-    on_gpu_time_(job.user, seg.gen, seg.start, now, job.gang_size);
-  }
-  // Restart the segment "now", carrying any unfinished warm-up.
-  seg.warmup = std::max<SimDuration>(0, seg.warmup - elapsed);
-  seg.start = now;
+  const SimTime chunk_start = FoldToNow(job, seg);
+  // The job's chunk now restarts here: credit it and re-open its hold.
+  CloseHold(job.user, seg.gen, job.gang_size, chunk_start);
+  OpenHold(job.user, seg.gen, job.gang_size, seg.start);
 }
 
 }  // namespace gfair::exec

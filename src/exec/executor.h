@@ -6,6 +6,16 @@
 // charges simulated time, tracks job progress at the model's per-generation
 // throughput, fires completion callbacks, and accounts GPU time to users.
 //
+// Accounting (DESIGN.md, "Quantum pipeline"): GPU time is credited
+// per (user, pool) at sync points, not per job. A sync point is an instant
+// at which every pool's accrued GPU-ms is credited through the credit
+// callback and after which each open run segment's next progress chunk
+// starts. The quantum tick only records its instant (SyncPoint, O(users x
+// pools)); each segment folds its progress lazily — at its close or when a
+// reader calls SyncProgress/SyncAll — chunk by chunk at the recorded
+// instants, so job progress, finish times and ledger totals are bit for bit
+// those of flushing every segment at every sync point.
+//
 // Cost model (documented in DESIGN.md):
 //  * Resume: the first `resume_latency(model)` of a run segment produces no
 //    progress (process restore + GPU warm-up) but occupies the gang — so each
@@ -173,10 +183,12 @@ class Executor {
   using JobOrphanedCallback = std::function<void(JobId)>;
   // Server availability transitions (FailServer/RecoverServer).
   using ServerEventCallback = std::function<void(ServerId)>;
-  // GPU-time accounting hook: `user` held `gpus` GPUs of `gen` over
-  // [start, end). Fired at the end of every run segment.
-  using AccountingCallback = std::function<void(
-      UserId user, cluster::GpuGeneration gen, SimTime start, SimTime end, int gpus)>;
+  // GPU-time credit hook: `user` consumed `gpu_ms` GPU-milliseconds (an
+  // exact integer count) on pool `pool` since its previous credit, booked at
+  // instant `at`. Fired per pool at each sync point and per segment when it
+  // closes or a reader folds it; never with gpu_ms == 0.
+  using CreditCallback = std::function<void(UserId user, cluster::GpuGeneration pool,
+                                            SimTime at, int64_t gpu_ms)>;
   // Fired when a pre-copy bulk transfer completes and the job is still a
   // valid candidate on the executor side (alive, still at its source). The
   // scheduler returns true to proceed — it must suspend/detach the job and
@@ -199,7 +211,7 @@ class Executor {
   void set_on_job_orphaned(JobOrphanedCallback cb) { on_orphaned_ = std::move(cb); }
   void set_on_server_down(ServerEventCallback cb) { on_server_down_ = std::move(cb); }
   void set_on_server_up(ServerEventCallback cb) { on_server_up_ = std::move(cb); }
-  void set_on_gpu_time(AccountingCallback cb) { on_gpu_time_ = std::move(cb); }
+  void set_on_gpu_credit(CreditCallback cb) { on_gpu_credit_ = std::move(cb); }
   void set_on_precopy_cutover(PrecopyCutoverCallback cb) {
     on_precopy_cutover_ = std::move(cb);
   }
@@ -218,8 +230,24 @@ class Executor {
   void Resume(JobId id);
 
   // running -> suspended: stops progress, releases the gang immediately and
-  // charges suspend latency to the job's overhead account.
+  // charges suspend latency to the job's overhead account. A job suspended
+  // at its finish instant (before its finish event fired) has done all its
+  // work: it is left with none remaining and queued for
+  // FinishSuspendedAtFinish instead of waiting for a resume it cannot take.
   void Suspend(JobId id);
+
+  // Finishes every job a Suspend caught at its finish instant since the last
+  // call: each becomes kFinished now, at that instant, and fires the
+  // finished callback. The scheduler calls this where re-entry is safe —
+  // after a quantum's apply, before anything may resume or move the job.
+  void FinishSuspendedAtFinish();
+
+  // Whether the running job's finish event is due at this instant (it fires
+  // later in the same millisecond). Moving such a job would strand a job
+  // with no work left; callers leave it to finish.
+  bool FinishDue(JobId id) const {
+    return IsRunning(id) && segments_[id.value()].finish_at <= sim_.Now();
+  }
 
   // Applies a batched schedule change: each op is a Suspend (resume=false)
   // or Resume (resume=true), executed strictly in list order — the producer
@@ -241,11 +269,11 @@ class Executor {
   // out across `pool` and a serial commit pass in slice order. Slices must
   // target pairwise-distinct servers (disjoint jobs and GPUs by
   // construction); under that precondition the result — state, decision
-  // order, event ids, accounting stream — is bit-identical to calling
+  // order, event ids, credit stream — is bit-identical to calling
   // ApplyDelta on each slice in order, because everything order-sensitive
-  // (running-list maintenance, finish-timer arms, accounting flushes) is
-  // replayed serially in op order by the commit pass. Suspend/resume draw no
-  // RNG, so the fan-out cannot perturb streams.
+  // (running-list maintenance, finish-timer arms, pool holds and credits)
+  // is replayed serially in op order by the commit pass. Suspend/resume
+  // draw no RNG, so the fan-out cannot perturb streams.
   void ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
                           common::ThreadPool& pool);
 
@@ -313,13 +341,21 @@ class Executor {
   // This is what the profiler sees (mini-batch timing jitter).
   double SampleObservedRate(JobId id);
 
-  // Folds elapsed progress of a running job into completed_minibatches (e.g.
-  // before reading job stats mid-segment). No-op for non-running jobs.
-  // Also flushes the pending GPU-time interval to the accounting callback.
+  // Records a sync point at the current instant: credits every pool's GPU
+  // time accrued since the previous credit and starts each open segment's
+  // next progress chunk here. O(users x pools); touches no job. The quantum
+  // tick calls this so ledger windows attribute GPU time to the quantum it
+  // was consumed in.
+  void SyncPoint();
+
+  // Folds a running job's progress up to now into completed_minibatches and
+  // gpu_ms_by_gen (e.g. before reading job stats mid-segment), crediting its
+  // GPU time since the last sync point. No-op for non-running jobs.
   void SyncProgress(JobId id);
 
-  // SyncProgress for every running job. Call before reading jobs/ledgers
-  // mid-run — open run segments are otherwise invisible to accounting.
+  // A sync point plus SyncProgress for every running job. Call before
+  // reading jobs mid-run — open run segments are otherwise folded only at
+  // their close.
   void SyncAll();
 
   // Per-model operation latencies (exposed for benches/tests).
@@ -371,12 +407,14 @@ class Executor {
   // id — IsRunning and segment lookup are on the scheduler's per-quantum hot
   // path for every resident job, where a hash probe per call dominates.
   struct RunSegment {
-    SimTime start;       // segment start (resume instant)
-    SimDuration warmup;  // no-progress prefix (resume latency)
+    SimTime start;       // start of the unfolded chunk (resume or last fold)
+    SimTime finish_at;   // when the finish timer fires
+    SimDuration warmup;  // no-progress prefix still ahead as of `start`
     double rate;         // mini-batches/s once warmed up
     cluster::GpuGeneration gen;
-    bool active = false;      // this job currently holds GPUs
+    bool active = false;       // this job currently holds GPUs
     uint32_t running_pos = 0;  // index into running_list_ while active
+    uint32_t next_sync = 0;    // first sync point not yet folded
   };
 
   RunSegment& SegmentOf(JobId id);
@@ -384,10 +422,38 @@ class Executor {
   // Progress accumulated in a segment after `elapsed` of wall time.
   static double SegmentProgress(const RunSegment& seg, SimDuration elapsed);
 
-  // Ends a run segment: sync progress, charge GPU time, release GPUs.
+  // One flush step: progress and GPU time over [seg.start, until) go into
+  // the job, and the chunk restarts at `until` carrying any unfinished
+  // warm-up. No-op when until <= seg.start.
+  static void FoldChunk(workload::Job& job, RunSegment& seg, SimTime until);
+  // Folds the segment chunk by chunk through the sync points recorded since
+  // its last fold, then up to now. Returns the chunk start the open pool
+  // hold carries for it (its last sync point or fold, at most now). Touches
+  // only the job and its segment, so the parallel prepare may call it.
+  SimTime FoldToNow(workload::Job& job, RunSegment& seg) const;
+
+  // Ends a run segment: fold progress, credit GPU time, release GPUs.
   void CloseSegment(workload::Job& job, bool cancel_finish_event);
 
+  // Per (user, pool): GPUs held by open segments and the sum of gang x chunk
+  // start over them, both exact integers. GPU-ms accrued by `now` since each
+  // segment's chunk start is then gpus * now - gang_start_ms. Serial-phase
+  // state: only CommitOp and other serial points change it.
+  struct PoolHold {
+    int64_t gpus = 0;
+    int64_t gang_start_ms = 0;
+  };
+  PoolHold& HoldOf(UserId user, cluster::GpuGeneration pool);
+  // A segment of `gang` GPUs opens a chunk at `start`.
+  void OpenHold(UserId user, cluster::GpuGeneration pool, int gang, SimTime start);
+  // A segment of `gang` GPUs whose chunk started at `chunk_start` closes now:
+  // credits its GPU time since then and drops it from the pool's hold.
+  void CloseHold(UserId user, cluster::GpuGeneration pool, int gang, SimTime chunk_start);
+
   void OnFinishEvent(JobId id);
+  // The finish itself, for a job already off its GPUs: work complete,
+  // kFinished at now, finished callback.
+  void CompleteJob(workload::Job& job);
 
   // Per-model costs, resolved once per model instead of recomputing the
   // latency formula (and its Seconds() rounding) on every suspend/resume.
@@ -440,7 +506,13 @@ class Executor {
 
   std::vector<RunSegment> segments_;  // indexed by job id; see RunSegment
   std::vector<JobId> running_list_;   // ids of active segments (swap-erase)
-  std::vector<JobId> sync_scratch_;   // reused snapshot buffer for SyncAll
+  // Sync point instants, ascending; a segment folds those from its
+  // next_sync on. One entry per tick with running jobs.
+  std::vector<SimTime> sync_points_;
+  std::vector<cluster::PerGeneration<PoolHold>> pool_holds_;  // by user id
+  // Jobs a Suspend caught at their finish instant, awaiting
+  // FinishSuspendedAtFinish.
+  std::vector<JobId> done_at_suspend_;
   std::vector<ModelCosts> model_costs_;       // indexed by model id
   std::vector<simkit::TimerId> finish_timer_;  // indexed by job id
   int migrations_in_flight_ = 0;
@@ -460,11 +532,11 @@ class Executor {
   struct PreparedOp {
     SimTime finish_at = 0;             // resumes: when the finish timer fires
     SimDuration overlap_hidden = 0;    // resumes: warm-up hidden by overlap
-    UserId user;                       // suspends: deferred accounting args
+    UserId user;                       // the pool hold to open or close
     cluster::GpuGeneration gen{};
-    SimTime acct_start = 0;
     int gpus = 0;
-    bool flush_accounting = false;  // suspends: elapsed > 0, ledger owed
+    SimTime chunk_start = 0;     // suspends: the closing chunk's start
+    bool done = false;           // suspends: caught at the finish instant
   };
   std::vector<PreparedOp> prepared_scratch_;
 
@@ -486,7 +558,7 @@ class Executor {
   JobOrphanedCallback on_orphaned_;
   ServerEventCallback on_server_down_;
   ServerEventCallback on_server_up_;
-  AccountingCallback on_gpu_time_;
+  CreditCallback on_gpu_credit_;
   PrecopyCutoverCallback on_precopy_cutover_;
 };
 

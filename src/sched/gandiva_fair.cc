@@ -51,6 +51,7 @@ GandivaFairScheduler::GandivaFairScheduler(const SchedulerEnv& env,
                                            GandivaFairConfig config)
     : env_(env),
       config_(config),
+      trading_(config_.enable_trading && env_.cluster.heterogeneous()),
       index_(env_.cluster, config_.stride),
       residency_(env_.jobs),
       placement_(env_, config_, index_, residency_, *this),
@@ -100,7 +101,7 @@ void GandivaFairScheduler::Start() {
   if (config_.enable_load_balancing && env_.cluster.num_servers() > 1) {
     env_.sim.Every(config_.balance_period, [this]() { balancer_.Balance(); });
   }
-  if (config_.enable_trading && env_.cluster.heterogeneous()) {
+  if (trading_) {
     env_.sim.Every(config_.trade_period, [this]() { trader_.TradeEpoch(); });
   }
 }
@@ -304,25 +305,26 @@ GandivaFairScheduler::RetryState& GandivaFairScheduler::RetryOf(JobId id) {
 
 
 void GandivaFairScheduler::QuantumTick() {
-  // Flush open run segments first so ledger windows attribute GPU time to
-  // the quantum it was actually consumed in (long uninterrupted runs would
-  // otherwise credit hours of GPU time at their eventual close).
-  env_.exec.SyncAll();
+  // A sync point first, so ledger windows attribute GPU time to the quantum
+  // it was actually consumed in (long uninterrupted runs would otherwise
+  // credit hours of GPU time at their eventual close). It credits each
+  // (user, pool) and touches no job: segments fold lazily (executor.h).
+  env_.exec.SyncPoint();
 
   // One pass over the servers, fusing the pipeline's per-server stages —
   // charge + sample, plan (or skip), commit (virtual-time floor + dirty
   // clear), diff, apply — while that server's entries, heap and run
-  // segments are cache-hot (the sample walk just touched the very job and
-  // segment state the apply slice mutates). Charge + sample is obligatory
-  // on every up server, skipped or not: stride passes must account the
-  // elapsed quantum and the profiler sees one sample per running job either
-  // way. Servers' job sets are disjoint and suspend/resume draw no RNG, so
-  // the fused loop emits exactly the plan and delta of the phase-at-a-time
-  // composition (planner_.PlanTick → commit → differ_.Diff →
-  // exec.ApplyDelta, which tests still exercise) — stream-for-stream the
-  // decisions, RNG draws and profiler updates are identical. The executor
-  // sees one batched ApplyDelta per diffed server; delta_ accumulates the
-  // whole quantum's ops for introspection.
+  // segments are cache-hot (the charge walk just touched the very job and
+  // segment state the apply slice mutates). Charging is obligatory on every
+  // up server, skipped or not: stride passes must account the elapsed
+  // quantum. When trade epochs run (trading_), the profiler also sees one
+  // sample per running job either way. Servers' job sets are disjoint and
+  // suspend/resume draw no RNG, so the fused loop emits exactly the plan
+  // and delta of the phase-at-a-time composition (planner_.PlanTick →
+  // commit → differ_.Diff → exec.ApplyDelta, which tests still exercise) —
+  // stream-for-stream the decisions, RNG draws and profiler updates are
+  // identical. The executor sees one batched ApplyDelta per diffed server;
+  // delta_ accumulates the whole quantum's ops for introspection.
   plan_.Clear();
   delta_.Clear();
   if (!shards_.empty()) {
@@ -398,6 +400,11 @@ void GandivaFairScheduler::QuantumTick() {
     }
   }
 
+  // A suspend that caught a job at its finish instant (its finish event,
+  // queued behind this tick, would have come too late) left it with no work:
+  // it finishes now, before stealing or anything else can resume or move it.
+  env_.exec.FinishSuspendedAtFinish();
+
   if (config_.enable_work_stealing) {
     for (const auto& server : env_.cluster.servers()) {
       if (server.up() && server.num_free() > 0) {
@@ -423,9 +430,10 @@ void GandivaFairScheduler::ChargeAndSample(ServerId server,
   const GpuGeneration gen = GenOf(server);
   const SimTime now = env_.sim.Now();
   const std::vector<JobId>& resident = stride.ResidentJobs();
+  const std::vector<uint32_t>& positions = stride.ResidentPositions();
   for (size_t i = 0; i < resident.size(); ++i) {
-    // The walk's per-job state (segment, info, stride entry) is scattered by
-    // job id; hint the next job's lines while this one's sample is computed.
+    // The walk's per-job state (segment, info) is scattered by job id; hint
+    // the next job's lines while this one is charged.
     if (i + 1 < resident.size()) {
       env_.exec.PrefetchJobState(resident[i + 1]);
       residency_.PrefetchInfo(resident[i + 1]);
@@ -433,12 +441,14 @@ void GandivaFairScheduler::ChargeAndSample(ServerId server,
     const JobId id = resident[i];
     if (env_.exec.IsRunning(id)) {
       ResidencyIndex::JobInfo& info = residency_.Info(id);
-      stride.Charge(id, now - info.last_charge);
+      stride.ChargeAt(positions[i], now - info.last_charge);
       info.last_charge = now;
-      trader_.RecordSample(info.model, gen,
-                           PerGpuRate::FromGangRate(env_.exec.SampleObservedRate(id),
-                                                    info.gang_size),
-                           token);
+      if (trading_) {
+        trader_.RecordSample(info.model, gen,
+                             PerGpuRate::FromGangRate(env_.exec.SampleObservedRate(id),
+                                                      info.gang_size),
+                             token);
+      }
     }
   }
 }
@@ -456,6 +466,7 @@ void GandivaFairScheduler::ChargeServer(
   const GpuGeneration gen = GenOf(server);
   const SimTime now = env_.sim.Now();
   const std::vector<JobId>& resident = stride.ResidentJobs();
+  const std::vector<uint32_t>& positions = stride.ResidentPositions();
   for (size_t i = 0; i < resident.size(); ++i) {
     if (i + 1 < resident.size()) {
       env_.exec.PrefetchJobState(resident[i + 1]);
@@ -464,14 +475,16 @@ void GandivaFairScheduler::ChargeServer(
     const JobId id = resident[i];
     if (env_.exec.IsRunning(id)) {
       ResidencyIndex::JobInfo& info = residency_.Info(id);
-      stride.Charge(id, now - info.last_charge);
+      stride.ChargeAt(positions[i], now - info.last_charge);
       info.last_charge = now;
       // The profiler sample draws from the executor's single RNG stream, so
       // it is deferred: the reduce step replays the buffered jobs in
       // ascending server order, reproducing the serial tick's draw order
       // exactly. Everything but the rate is captured here, while info is
       // hot, so the replay touches only executor segment state per job.
-      pending_samples->push_back(PendingSample{id, info.model, gen, info.gang_size});
+      if (trading_) {
+        pending_samples->push_back(PendingSample{id, info.model, gen, info.gang_size});
+      }
     }
   }
 }
@@ -638,6 +651,11 @@ void GandivaFairScheduler::DetachResident(JobId id) {
 
 void GandivaFairScheduler::EmitMigration(JobId id, ServerId dest,
                                          MigrationCause cause) {
+  if (env_.exec.FinishDue(id)) {
+    // Its finish event fires later in this very millisecond: suspending it
+    // to move it would strand a job with no work left. It stays to finish.
+    return;
+  }
   // Every placement-changing intent funnels through the SchedulePlan before
   // reaching the executor (one record of what was decided this quantum), but
   // is executed eagerly: balancing/trading rounds later in the same pass
@@ -692,6 +710,9 @@ bool GandivaFairScheduler::OnPrecopyCutover(JobId id, ServerId dest) {
   info.precopying = false;
   if (index_.draining(dest) || index_.down(dest)) {
     return false;  // destination became ineligible scheduler-side
+  }
+  if (env_.exec.FinishDue(id)) {
+    return false;  // the job finishes at this instant (see EmitMigration)
   }
   const ServerId source = info.home;
   if (env_.exec.IsRunning(id)) {

@@ -21,9 +21,15 @@
 // one pass per server for cache locality (servers are independent, so the
 // fused loop emits exactly the phase-at-a-time plan and delta):
 //
+//   sync point (Executor::SyncPoint: GPU time credited per user and pool;
+//               run segments fold their progress lazily)
 //   per server: charge + sample  ->  plan or skip  ->  commit (vt, dirty)
 //               ->  diff  ->  Executor::ApplyDelta (the server's batch)
 //               ->  record decisions
+//
+// The charge walks each up server's running jobs by stride entry position.
+// Profiler samples are drawn only when trade epochs run (trading on a
+// multi-generation cluster): the epochs are the profiler's only reader.
 //
 // With plan_shards > 1 the same pipeline runs per contiguous server shard
 // on ThreadPool threads (sample draws deferred), a serial reduce step
@@ -261,14 +267,15 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   // cross-shard merge, the deferred profiler-sample replay and the
   // executor's global accounting. Only this facade (and the executor, for
   // ReduceToken) can mint them, so phase violations are compile errors.
-  // Stride pass charging + profiler feeding for one up server, fused into a
-  // single resident walk (both touch exactly the running jobs). Serial by
-  // construction — hence the ReduceToken for the profiler feed.
+  // Stride pass charging + profiler feeding (when trading_) for one up
+  // server, fused into a single resident walk (both touch exactly the
+  // running jobs). Serial by construction — hence the ReduceToken for the
+  // profiler feed.
   void ChargeAndSample(ServerId server, common::ReduceToken token);
   // The shard-parallel half of ChargeAndSample: charges one up server's
-  // stride passes and buffers its running jobs for the reduce step's serial
-  // sample replay (the draw itself consumes the executor's single RNG
-  // stream, so it cannot run here).
+  // stride passes and, when trading_, buffers its running jobs for the
+  // reduce step's serial sample replay (the draw itself consumes the
+  // executor's single RNG stream, so it cannot run here).
   void ChargeServer(ServerId server, std::vector<PendingSample>* pending_samples,
                     common::ShardToken token);
   // The per-shard parallel phase: charge / plan-or-skip / commit / diff
@@ -343,6 +350,9 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
 
   SchedulerEnv env_;
   GandivaFairConfig config_;
+  // Trade epochs run (enable_trading on a multi-generation cluster). Only
+  // they read the profiler, so the tick samples running jobs only then.
+  const bool trading_;
 
   FairnessLedger ledger_;
   TicketMatrix ticket_matrix_;

@@ -66,7 +66,8 @@ std::vector<std::string> InvariantChecker::Check() {
     const LocalStrideScheduler& stride = index.stride(server.id());
     last_vt_[server.id().value()] = stride.VirtualTime();
     for (JobId id : stride.ResidentJobs()) {
-      last_pass_[id.value()] = JobBaseline{server.id(), stride.PassOf(id)};
+      last_pass_[id.value()] =
+          JobBaseline{server.id(), env_.jobs.Get(id).num_orphanings, stride.PassOf(id)};
     }
   }
   // Jobs no longer resident anywhere lose their baseline.
@@ -148,8 +149,9 @@ void InvariantChecker::CheckEntitlementConservation(
 }
 
 // Stride passes and per-server virtual times never move backwards. A job's
-// pass is compared only while it stays resident on the same server with no
-// migration since the previous check (migration legitimately re-floors it).
+// pass is compared only within one residency: on the same server, with no
+// migration and no orphaning since the previous check (either legitimately
+// re-floors it — an orphan may be re-placed onto its old server).
 void InvariantChecker::CheckPassMonotonicity(std::vector<std::string>* out) const {
   if (!has_baseline_) {
     return;
@@ -168,8 +170,8 @@ void InvariantChecker::CheckPassMonotonicity(std::vector<std::string>* out) cons
         continue;  // arrived since the previous check
       }
       const JobBaseline& prev = last_pass_[id.value()];
-      if (prev.server != sid) {
-        continue;  // migrated (or first seen) — new floor is legitimate
+      if (prev.server != sid || prev.orphanings != env_.jobs.Get(id).num_orphanings) {
+        continue;  // a new residency (migrated, orphaned, or first seen)
       }
       if (residency.Info(id).last_migration >= last_check_) {
         continue;  // round-trip migration within the window

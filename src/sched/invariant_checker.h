@@ -88,8 +88,12 @@ class InvariantChecker {
   const GandivaFairScheduler& sched_;
 
   // --- pass-monotonicity baseline (previous Check() call) ---
+  // Keyed on the residency, not just the server: an orphan re-placed onto
+  // its old server starts a new residency there (a fresh pass at the
+  // virtual time), which its orphan count tells apart.
   struct JobBaseline {
     ServerId server = ServerId::Invalid();
+    int orphanings = 0;
     Pass pass;
   };
   std::vector<JobBaseline> last_pass_;  // indexed by job id

@@ -26,14 +26,19 @@ const FairnessLedger::PerUser* FairnessLedger::Find(UserId user) const {
   return &per_user_[user.value()];
 }
 
+void FairnessLedger::CreditGpuMs(UserId user, GpuGeneration gen, SimTime time,
+                                 int64_t gpu_ms) {
+  GFAIR_CHECK(gpu_ms >= 0);
+  if (gpu_ms == 0) {
+    return;
+  }
+  GetOrCreate(user).gpu_ms[GenerationIndex(gen)].Add(time, static_cast<double>(gpu_ms));
+}
+
 void FairnessLedger::RecordGpuTime(UserId user, GpuGeneration gen, SimTime start,
                                    SimTime end, int gpus) {
   GFAIR_CHECK(start <= end && gpus > 0);
-  if (start == end) {
-    return;
-  }
-  auto& record = GetOrCreate(user);
-  record.gpu_ms[GenerationIndex(gen)].Add(end, static_cast<double>(end - start) * gpus);
+  CreditGpuMs(user, gen, end, (end - start) * gpus);
 }
 
 void FairnessLedger::RecordDemandChange(UserId user, GpuGeneration gen, SimTime time,

@@ -1,14 +1,18 @@
 // FairnessLedger — cluster-wide GPU-time accounting per user.
 //
 // The ledger is the measurement half of the fairness guarantee: it records
-// which user held how many GPUs of which generation over which interval
-// (fed by the executor's accounting callback), plus each user's outstanding
-// GPU demand over time (fed by the scheduler on submit/finish). Experiments
-// compare achieved GPU time against the ideal fair share computed from the
-// demand series (see analysis/fairshare.h).
+// how many GPU-milliseconds each user consumed on each generation, credited
+// at the instants the executor books them (fed by its credit callback: one
+// credit per pool at each sync point — every quantum tick — plus one per run
+// segment as it closes), plus each user's outstanding GPU demand over time
+// (fed by the scheduler on submit/finish). A window query therefore sees
+// GPU time at quantum resolution. Experiments compare achieved GPU time
+// against the ideal fair share computed from the demand series (see
+// analysis/fairshare.h).
 #ifndef GFAIR_SCHED_LEDGER_H_
 #define GFAIR_SCHED_LEDGER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "cluster/gpu.h"
@@ -22,7 +26,12 @@ class FairnessLedger {
  public:
   // --- recording ---
 
-  // `user` held `gpus` GPUs of `gen` over [start, end).
+  // `user` consumed `gpu_ms` GPU-milliseconds on `gen`, booked at `time`.
+  // Exact: the count is an integer, and the running totals stay integers
+  // (below 2^53) however the credits are grouped.
+  void CreditGpuMs(UserId user, cluster::GpuGeneration gen, SimTime time, int64_t gpu_ms);
+  // `user` held `gpus` GPUs of `gen` over [start, end): a credit of
+  // (end - start) x gpus at `end`.
   void RecordGpuTime(UserId user, cluster::GpuGeneration gen, SimTime start, SimTime end,
                      int gpus);
 
@@ -63,8 +72,8 @@ class FairnessLedger {
   const PerUser* Find(UserId user) const;
 
   // Indexed by user id (user ids are dense). `known_[u]` marks slots a
-  // record was ever written to; RecordGpuTime runs once per charged gang
-  // every quantum — hot path, so lookups must not hash. Do not hold the
+  // record was ever written to; credits run per pool every quantum and per
+  // closing segment — hot path, so lookups must not hash. Do not hold the
   // GetOrCreate() reference across another GetOrCreate (it may resize).
   std::vector<PerUser> per_user_;
   std::vector<bool> known_;

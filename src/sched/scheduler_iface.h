@@ -60,7 +60,7 @@ class IScheduler {
   virtual FairnessLedger& policy_ledger() = 0;
 };
 
-// Connects executor completion/migration/accounting callbacks to the policy.
+// Connects executor completion/migration/credit callbacks to the policy.
 inline void WireCallbacks(exec::Executor& exec, IScheduler& policy) {
   exec.set_on_job_finished([&policy](JobId id) { policy.OnJobFinished(id); });
   exec.set_on_migration_done([&policy](JobId id) { policy.OnMigrationDone(id); });
@@ -69,10 +69,10 @@ inline void WireCallbacks(exec::Executor& exec, IScheduler& policy) {
       [&policy](JobId id, ServerId dest) { policy.OnMigrationFailed(id, dest); });
   exec.set_on_server_down([&policy](ServerId id) { policy.OnServerDown(id); });
   exec.set_on_server_up([&policy](ServerId id) { policy.OnServerUp(id); });
-  exec.set_on_gpu_time([&policy](UserId user, cluster::GpuGeneration gen, SimTime start,
-                                 SimTime end, int gpus) {
-    policy.policy_ledger().RecordGpuTime(user, gen, start, end, gpus);
-  });
+  exec.set_on_gpu_credit(
+      [&policy](UserId user, cluster::GpuGeneration pool, SimTime at, int64_t gpu_ms) {
+        policy.policy_ledger().CreditGpuMs(user, pool, at, gpu_ms);
+      });
 }
 
 }  // namespace gfair::sched

@@ -155,8 +155,24 @@ const std::vector<JobId>& LocalStrideScheduler::ResidentJobs() const {
     }
     std::sort(resident_cache_.begin(), resident_cache_.end());
     resident_dirty_ = false;
+    positions_dirty_ = true;
   }
   return resident_cache_;
+}
+
+const std::vector<uint32_t>& LocalStrideScheduler::ResidentPositions() const {
+  const std::vector<JobId>& resident = ResidentJobs();
+  // Built on demand: only the charge walk reads positions, so the other
+  // ResidentJobs() readers (stealing, balancing) never pay for them.
+  if (positions_dirty_) {
+    resident_pos_cache_.clear();
+    resident_pos_cache_.reserve(resident.size());
+    for (JobId id : resident) {
+      resident_pos_cache_.push_back(index_of_[id.value()] - 1);
+    }
+    positions_dirty_ = false;
+  }
+  return resident_pos_cache_;
 }
 
 void LocalStrideScheduler::HeapSiftUp(size_t pos) const {

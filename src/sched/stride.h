@@ -198,10 +198,17 @@ class LocalStrideScheduler {
   // Charges `ms` of wall time on the job's whole gang. Touches no heap
   // memory — the stale key is lazily re-pushed at the next selection.
   void Charge(JobId id, SimDuration ms) {
-    GFAIR_CHECK(ms >= 0);
     auto it = FindEntry(id);
     GFAIR_CHECK_MSG(it != entries_.end(), "Charge on unknown job");
-    Entry& entry = it->second;
+    ChargeAt(static_cast<uint32_t>(it - entries_.begin()), ms);
+  }
+  // Charge for the entry at `pos`, a position from ResidentPositions():
+  // the per-quantum charge walk's entry point, which spares the id lookup
+  // (index_of_ is indexed by job id, so each lookup is a scattered load).
+  void ChargeAt(uint32_t pos, SimDuration ms) {
+    GFAIR_CHECK(ms >= 0);
+    GFAIR_DCHECK(pos < entries_.size());
+    Entry& entry = entries_[pos].second;
     entry.pass += Stride::FromService(static_cast<double>(ms), entry.gang_size, entry.tickets());
     // Virtual time advances with delivered service per runnable ticket. This —
     // not the min-pass floor — is what keeps newcomers from perpetually
@@ -226,6 +233,9 @@ class LocalStrideScheduler {
   // is invalidated by AddJob/RemoveJob — callers that migrate or remove jobs
   // while iterating must take a copy first.
   [[nodiscard]] const std::vector<JobId>& ResidentJobs() const;
+  // The entry positions of ResidentJobs(), element for element (ChargeAt's
+  // argument). Cached and invalidated with it.
+  [[nodiscard]] const std::vector<uint32_t>& ResidentPositions() const;
 
  private:
   struct Entry {
@@ -349,6 +359,8 @@ class LocalStrideScheduler {
   int demand_load_ = 0;
   mutable std::vector<JobId> resident_cache_;
   mutable bool resident_dirty_ = false;
+  mutable std::vector<uint32_t> resident_pos_cache_;  // entry positions, same order
+  mutable bool positions_dirty_ = false;
 
   // Selection scratch (reused across SelectForQuantum calls).
   std::vector<JobId> selected_scratch_;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/thread_pool.h"
 #include "simkit/simulator.h"
 #include "workload/job.h"
 #include "workload/model_zoo.h"
@@ -156,10 +157,10 @@ TEST_F(ExecutorTest, MigratedJobRunsAtNewGenerationRate) {
 
 TEST_F(ExecutorTest, GpuTimeAccountingCallback) {
   double total_gpu_ms = 0.0;
-  exec_.set_on_gpu_time([&](UserId, GpuGeneration gen, SimTime start, SimTime end,
-                            int gpus) {
+  exec_.set_on_gpu_credit([&](UserId, GpuGeneration gen, SimTime at, int64_t gpu_ms) {
     EXPECT_EQ(gen, GpuGeneration::kK80);
-    total_gpu_ms += static_cast<double>(end - start) * gpus;
+    EXPECT_EQ(at, sim_.Now());
+    total_gpu_ms += static_cast<double>(gpu_ms);
   });
   Job& job = MakeJob("DCGAN", 3, 1e9);
   exec_.MakeResident(job.id, K80());
@@ -235,6 +236,64 @@ TEST_F(ExecutorTest, FinishReleasesGpus) {
   sim_.Run();
   EXPECT_EQ(cluster_.server(K80()).num_free(), 4);
   EXPECT_FALSE(job.resident());
+}
+
+TEST_F(ExecutorTest, SuspendAtFinishInstantFinishesTheJob) {
+  // A suspend at the very millisecond the job's finish event is due, but
+  // queued ahead of it: the work is done, so the job finishes at that
+  // instant instead of waiting, suspended with nothing left, for a resume
+  // it could not take.
+  Job& job = MakeJob("DCGAN", 1, 16.0 * 20);  // 20 s of K80 work
+  exec_.MakeResident(job.id, K80());
+  const SimTime finish_at = Seconds(20) + exec_.ResumeLatency(job.model);
+  bool due_one_ms_early = true;
+  bool due_at_instant = false;
+  sim_.At(finish_at - 1, [&] { due_one_ms_early = exec_.FinishDue(job.id); });
+  sim_.At(finish_at, [&] {
+    due_at_instant = exec_.FinishDue(job.id);
+    exec_.Suspend(job.id);
+  });
+  exec_.Resume(job.id);  // arms the finish event behind the suspend
+  sim_.RunUntil(finish_at);
+  EXPECT_FALSE(due_one_ms_early);
+  EXPECT_TRUE(due_at_instant);
+  EXPECT_EQ(job.state, JobState::kSuspended);
+  EXPECT_EQ(job.remaining_minibatches(), 0.0);  // gfair-lint: allow(float-eq)
+  EXPECT_TRUE(finished_.empty());
+
+  exec_.FinishSuspendedAtFinish();
+  EXPECT_EQ(job.state, JobState::kFinished);
+  EXPECT_EQ(job.finish_time, finish_at);
+  ASSERT_EQ(finished_.size(), 1u);
+  EXPECT_EQ(finished_[0], job.id);
+  exec_.FinishSuspendedAtFinish();  // drained: nothing fires twice
+  EXPECT_EQ(finished_.size(), 1u);
+}
+
+TEST_F(ExecutorTest, ParallelSuspendAtFinishInstantFinishesTheJob) {
+  common::ThreadPool pool(2);
+  Job& done = MakeJob("DCGAN", 1, 16.0 * 20);
+  Job& early = MakeJob("DCGAN", 1, 1e9);
+  exec_.MakeResident(done.id, K80());
+  exec_.MakeResident(early.id, V100());
+  const SimTime finish_at = Seconds(20) + exec_.ResumeLatency(done.model);
+  const std::vector<ScheduleOp> k80 = {{done.id, K80(), /*resume=*/false}};
+  const std::vector<ScheduleOp> v100 = {{early.id, V100(), /*resume=*/false}};
+  sim_.At(finish_at, [&] {
+    const Executor::ApplySlice slices[] = {{k80.data(), k80.size()},
+                                           {v100.data(), v100.size()}};
+    exec_.ApplyDeltaParallel(slices, 2, pool);
+  });
+  exec_.Resume(done.id);
+  exec_.Resume(early.id);
+  sim_.RunUntil(finish_at);
+  exec_.FinishSuspendedAtFinish();
+  EXPECT_EQ(done.state, JobState::kFinished);
+  EXPECT_EQ(done.finish_time, finish_at);
+  // Suspended short of its finish: an ordinary suspend with work left.
+  EXPECT_EQ(early.state, JobState::kSuspended);
+  EXPECT_GT(early.remaining_minibatches(), 0.0);
+  EXPECT_EQ(finished_, std::vector<JobId>{done.id});
 }
 
 TEST_F(ExecutorTest, DeathOnBadTransitions) {

@@ -2,9 +2,9 @@
 // Seeded violations for the parallel-region-write rule: inside a
 // gfair-parallel-apply region (the executor's prepare fan-out) the code runs
 // concurrently across slices, so serial-commit state — the running list,
-// timer wheel, migration accounting, callbacks, RNG streams — and the
-// serial-only entry points that mutate them must stay untouched until the
-// commit pass after the join.
+// timer wheel, migration accounting, pool GPU holds, callbacks, RNG
+// streams — and the serial-only entry points that mutate them must stay
+// untouched until the commit pass after the join.
 namespace gfair::exec {
 
 void Example(size_t s) {
@@ -23,6 +23,7 @@ void Example(size_t s) {
   const double draw = rng_.Uniform();  // EXPECT-LINT: parallel-region-write
   on_finished_(id);  // EXPECT-LINT: parallel-region-write
   CommitOp(op, prepared);  // EXPECT-LINT: parallel-region-write
+  OpenHold(user, gen, gang, now);  // EXPECT-LINT: parallel-region-write
   FinishTimerFor(id);  // gfair-lint: allow(parallel-region-write) -- models a line proven serial (single-slice span)
   // gfair-parallel-apply-end
 

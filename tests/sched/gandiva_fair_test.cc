@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analysis/harness.h"
 #include "analysis/metrics.h"
 #include "common/stats.h"
@@ -164,8 +166,12 @@ TEST(GandivaFairTest, LoadBalancerEvensOutTicketLoad) {
 }
 
 TEST(GandivaFairTest, ProfilerLearnsRatesOnHomeGeneration) {
+  // Two generations: the tick profiles only where trade epochs run.
   ExperimentConfig config;
-  config.topology = cluster::HomogeneousTopology(1, 4);
+  config.topology = cluster::Topology{{
+      {GpuGeneration::kK80, 1, 4},
+      {GpuGeneration::kV100, 1, 4},
+  }};
   Experiment exp(config);
   auto& a = exp.users().Create("a");
   exp.UseGandivaFair({});
@@ -177,6 +183,105 @@ TEST(GandivaFairTest, ProfilerLearnsRatesOnHomeGeneration) {
   ASSERT_TRUE(profiles.HasEstimate(model, GpuGeneration::kV100));
   EXPECT_NEAR(profiles.EstimatedRate(model, GpuGeneration::kV100).raw(), 50.0, 2.5);
 }
+
+// The tick samples running jobs for the profiler only where trade epochs
+// run — they are its only reader. Without them no sample is drawn.
+void ExpectNoProfileSamples(Experiment& exp) {
+  const ProfileStore& profiles = exp.gandiva()->profiles();
+  for (const auto& model : exp.zoo().models()) {
+    for (GpuGeneration gen : cluster::kAllGenerations) {
+      EXPECT_EQ(profiles.SampleCount(model.id, gen), 0u)
+          << model.name << " on " << cluster::GenerationName(gen);
+    }
+  }
+}
+
+TEST(GandivaFairTest, NoProfileSamplesOnSingleGenerationCluster) {
+  ExperimentConfig config;
+  config.topology = cluster::HomogeneousTopology(2, 4);
+  Experiment exp(config);
+  auto& a = exp.users().Create("a");
+  exp.UseGandivaFair({});
+  exp.SubmitAt(kTimeZero, a.id, "DCGAN", 1, Hours(50));
+  exp.SubmitAt(kTimeZero, a.id, "ResNet-50", 2, Hours(50));
+  exp.Run(Hours(1));
+  EXPECT_EQ(exp.jobs().Get(JobId(0)).state, workload::JobState::kRunning);
+  ExpectNoProfileSamples(exp);
+}
+
+TEST(GandivaFairTest, NoProfileSamplesWithTradingOff) {
+  ExperimentConfig config;
+  config.topology = cluster::Topology{{
+      {GpuGeneration::kK80, 1, 4},
+      {GpuGeneration::kV100, 1, 4},
+  }};
+  Experiment exp(config);
+  auto& a = exp.users().Create("a");
+  GandivaFairConfig sched_config;
+  sched_config.enable_trading = false;
+  exp.UseGandivaFair(sched_config);
+  exp.SubmitAt(kTimeZero, a.id, "DCGAN", 1, Hours(50));
+  exp.SubmitAt(kTimeZero, a.id, "ResNet-50", 2, Hours(50));
+  exp.Run(Hours(1));
+  EXPECT_EQ(exp.jobs().Get(JobId(0)).state, workload::JobState::kRunning);
+  ExpectNoProfileSamples(exp);
+}
+
+// A job's finish event lands on a quantum tick's millisecond but is queued
+// behind the tick (the job resumed between ticks), and that tick deselects
+// the job. The tick's suspend catches the job with its work done; it must
+// finish at that instant. (Before, it stayed suspended with no work left
+// and the next resume aborted on `remaining > 0`.)
+struct TickPath {
+  const char* name;
+  int apply_threads;
+  int plan_shards;
+};
+
+class FinishOnTickTest : public ::testing::TestWithParam<TickPath> {};
+
+TEST_P(FinishOnTickTest, JobSuspendedAtItsFinishInstantFinishesThere) {
+  ExperimentConfig config;
+  config.topology = cluster::HomogeneousTopology(1, 1);
+  Experiment exp(config);
+  auto& a = exp.users().Create("a");
+  auto& b = exp.users().Create("b");
+  GandivaFairConfig sched_config;
+  sched_config.apply_threads = GetParam().apply_threads;
+  sched_config.plan_shards = GetParam().plan_shards;
+  exp.UseGandivaFair(sched_config);
+
+  for (SimTime tick : {Minutes(1), Minutes(3)}) {
+    const workload::ModelId model = exp.zoo().GetByName("DCGAN").id;
+    const double rate = exp.zoo().Get(model).GangThroughput(GpuGeneration::kV100, 1);
+    const double minibatches = rate * 20.3;
+    // Executor::Resume's own finish arithmetic.
+    const SimDuration work =
+        static_cast<SimDuration>(std::ceil(minibatches / rate * kSecond));
+    const SimTime start = tick - exp.exec().ResumeLatency(model) - work;
+    // The GPU is idle at `start` (the previous round's jobs are gone), so
+    // the job resumes on arrival; the other user's job arrives next and
+    // waits with the lower pass, which the tick then selects.
+    const JobId done = exp.SubmitWorkAt(start, a.id, model, 1, minibatches);
+    const JobId waiting = exp.SubmitWorkAt(start + Seconds(5), b.id, model, 1,
+                                           rate * 30.0);
+    exp.Run(tick + Seconds(50));
+    const workload::Job& job = exp.jobs().Get(done);
+    ASSERT_TRUE(job.finished()) << "tick " << tick;
+    EXPECT_EQ(job.finish_time, tick);
+    EXPECT_EQ(job.num_suspends, 1);  // the tick did catch it
+    EXPECT_TRUE(exp.jobs().Get(waiting).finished());
+    const auto violations = exp.gandiva()->CheckInvariants();
+    EXPECT_TRUE(violations.empty()) << violations.front();
+  }
+  exp.Run(Hours(1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TickPaths, FinishOnTickTest,
+    ::testing::Values(TickPath{"Serial", 1, 1}, TickPath{"ParallelApply", 2, 1},
+                      TickPath{"Sharded", 1, 2}),
+    [](const ::testing::TestParamInfo<TickPath>& path) { return path.param.name; });
 
 TEST(GandivaFairTest, TradingImprovesLenderWithoutHurtingBorrower) {
   auto run = [](bool trading) {

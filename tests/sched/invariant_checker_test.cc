@@ -165,5 +165,48 @@ TEST(InvariantCheckerTest, DetectsStaleTicketsAndMissedInvalidation) {
   EXPECT_TRUE(g.CheckInvariants().empty());
 }
 
+// One 1-GPU server shared by two users' jobs dies and comes back between
+// two sparse checks; both orphans are re-placed onto it at the virtual
+// time, below job 0's pass at the first check. Returns the second check's
+// violations. `forget_orphaning` rolls job 0's orphan count back first, so
+// the re-floor reads as one residency's pass moving backwards.
+std::vector<std::string> OrphanRoundTrip(bool forget_orphaning) {
+  ExperimentConfig config;
+  config.topology = cluster::HomogeneousTopology(1, 1);
+  Experiment exp(config);
+  const UserId a = exp.users().Create("a").id;
+  const UserId b = exp.users().Create("b", 2.0).id;
+  exp.UseGandivaFair({});
+  exp.SubmitAt(kTimeZero, a, "DCGAN", 1, Hours(10));
+  exp.SubmitAt(Minutes(1), b, "DCGAN", 1, Hours(10));
+  exp.Run(Seconds(90));
+  GandivaFairScheduler& g = *exp.gandiva();
+  EXPECT_TRUE(g.CheckInvariants().empty());
+
+  workload::Job& job = exp.jobs().Get(JobId(0));
+  const ServerId server = job.server;
+  const Pass before = g.stride_for(server).PassOf(job.id);
+  exp.exec().FailServer(server);
+  exp.exec().RecoverServer(server);  // re-places both orphans onto it
+  EXPECT_EQ(job.server, server);
+  EXPECT_EQ(job.num_orphanings, 1);
+  EXPECT_LT(g.stride_for(server).PassOf(job.id), before);
+  if (forget_orphaning) {
+    job.num_orphanings = 0;
+  }
+  return g.CheckInvariants();
+}
+
+TEST(InvariantCheckerTest, OrphanReplacedOnItsOldServerIsANewResidency) {
+  const auto violations = OrphanRoundTrip(/*forget_orphaning=*/false);
+  EXPECT_FALSE(AnyStartsWith(violations, "pass-monotonicity:")) << Joined(violations);
+}
+
+TEST(InvariantCheckerTest, DetectsPassMovingBackwardsWithinAResidency) {
+  const auto violations = OrphanRoundTrip(/*forget_orphaning=*/true);
+  EXPECT_TRUE(AnyStartsWith(violations, "pass-monotonicity: stride pass moved backwards"))
+      << Joined(violations);
+}
+
 }  // namespace
 }  // namespace gfair::sched

@@ -326,6 +326,50 @@ TEST(StrideTest, ResidentJobsCachedViewStaysSortedAndFresh) {
   EXPECT_EQ(stride.ResidentJobs(), again);
 }
 
+TEST(StrideTest, PositionWalkChargesLikeIdLookups) {
+  // Two schedulers see the same churn; one charges every resident by id,
+  // the other through ResidentPositions() as the quantum tick does. Every
+  // pass and the virtual time must agree bit for bit — including after
+  // removals shift the entries under the cached positions.
+  LocalStrideScheduler by_id(8);
+  LocalStrideScheduler by_pos(8);
+  const TicketRate rate{3.0, 5.0};
+  uint32_t next_id = 40;  // descending-then-ascending ids: positions != id order
+  auto add = [&](uint32_t id, int gang) {
+    by_id.AddJob(JobId(id), gang, /*share=*/gang * 0.5, &rate);
+    by_pos.AddJob(JobId(id), gang, /*share=*/gang * 0.5, &rate);
+  };
+  for (uint32_t id = 30; id > 20; --id) {
+    add(id, 1 + static_cast<int>(id % 3));
+  }
+  for (int round = 0; round < 12; ++round) {
+    const SimDuration ms = 997 + 131 * round;
+    for (JobId id : by_id.ResidentJobs()) {
+      by_id.Charge(id, ms + id.value());
+    }
+    const std::vector<JobId>& resident = by_pos.ResidentJobs();
+    const std::vector<uint32_t>& positions = by_pos.ResidentPositions();
+    ASSERT_EQ(resident.size(), positions.size());
+    for (size_t i = 0; i < resident.size(); ++i) {
+      by_pos.ChargeAt(positions[i], ms + resident[i].value());
+    }
+    ASSERT_EQ(by_id.ResidentJobs(), by_pos.ResidentJobs());
+    for (JobId id : by_id.ResidentJobs()) {
+      EXPECT_EQ(by_id.PassOf(id), by_pos.PassOf(id)) << "job " << id << " round " << round;
+    }
+    EXPECT_EQ(by_id.VirtualTime(), by_pos.VirtualTime()) << "round " << round;
+    // Churn: drop the second-lowest id (shifting later entries), add one.
+    const JobId victim = by_id.ResidentJobs()[1];
+    by_id.RemoveJob(victim);
+    by_pos.RemoveJob(victim);
+    add(next_id++, 1 + round % 4);
+    if (round % 3 == 0) {
+      by_id.SetRunnable(by_id.ResidentJobs()[0], false);
+      by_pos.SetRunnable(by_pos.ResidentJobs()[0], false);
+    }
+  }
+}
+
 TEST(StrideDeathTest, InvalidOperations) {
   LocalStrideScheduler stride(4);
   EXPECT_DEATH(stride.AddJob(JobId(0), 5, 1.0), "fit");

@@ -629,14 +629,16 @@ const std::vector<std::string> kShardCrossStateTokens = {
 // serial commit pass after the join.
 const std::vector<std::string> kApplySerialOnlyTokens = {
     // Shared mutable executor state.
-    "acct_", "running_list_", "rng_", "fault_rng_", "sync_scratch_",
-    "finish_timer_", "migrations_in_flight_", "pending_precopies_",
+    "acct_", "running_list_", "rng_", "fault_rng_", "finish_timer_",
+    "migrations_in_flight_", "pending_precopies_", "done_at_suspend_",
+    // The per-(user, pool) GPU holds behind the sync-point credits.
+    "pool_holds_", "HoldOf", "OpenHold", "CloseHold", "SyncPoint",
     // Callbacks (arbitrary scheduler re-entry; serial by contract).
     "on_finished_", "on_migrated_", "on_migration_failed_", "on_orphaned_",
-    "on_server_down_", "on_server_up_", "on_gpu_time_", "on_precopy_cutover_",
+    "on_server_down_", "on_server_up_", "on_gpu_credit_", "on_precopy_cutover_",
     // Serial-only entry points.
     "ArmTimerAt", "DisarmTimer", "FinishTimerFor", "CommitOp", "OnFinishEvent",
-    "DoMigrate", "FinishMigration", "PrecopyCutover", "OrphanJob",
+    "CompleteJob", "DoMigrate", "FinishMigration", "PrecopyCutover", "OrphanJob",
     // The serial-phase capability: naming it here means smuggling it in.
     "ReduceToken",
 };
