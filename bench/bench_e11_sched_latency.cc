@@ -342,7 +342,7 @@ int RunSmoke() {
       {"flip_250", 250, 16},  {"flip_500", 500, 16},
       {"flip_250_par4", 250, 16, 4},  // threaded ApplyDelta slices
       {"steady_64", 64, 8},   {"steady_250", 250, 8},
-      {"steady_1250", 1250, 8},  // 10k GPUs, serial planner
+      {"steady_1250", 1250, 8},  // 10k GPUs, one shard
       // 10k GPUs with the sharded parallel planner (32 shards / 8 threads);
       // decisions are bit-identical to steady_1250, only the wall clock moves.
       {"steady_1250_shard8", 1250, 8, 1, 32, 8},

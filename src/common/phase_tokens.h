@@ -1,6 +1,6 @@
 // Phase-capability tokens for the tick's lock-free fork-join discipline.
 //
-// The sharded quantum tick has two phases with different access rights:
+// The quantum tick has two phases with different access rights:
 // the parallel fan-out (each worker may mutate only its own PlanShard) and
 // the serial reduce (the single thread that merges shards, replays deferred
 // profiler RNG draws, and commits global migration accounting). Mutexes and
@@ -46,9 +46,9 @@ class ShardToken {
   constexpr ShardToken() = default;
 };
 
-// Capability: "serial phase of the tick" — the sharded tick's reduce step,
-// or any point that is serial by construction (the fused serial tick, the
-// executor's event handlers).
+// Capability: "serial phase of the tick" — the tick's reduce step, or any
+// point that is serial by construction (the executor's event handlers and
+// its apply's commit pass).
 class ReduceToken {
  public:
   ReduceToken(const ReduceToken&) = default;

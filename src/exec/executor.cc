@@ -287,13 +287,15 @@ void Executor::ApplyDelta(const ScheduleOp* ops, size_t count) {
 }
 
 void Executor::ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
-                                  common::ThreadPool& pool) {
+                                  common::ThreadPool* pool) {
   // Serial prologue: pre-size every shared dense array and warm the lazy
   // per-model cost cache, so the parallel phase performs no allocation and
   // no first-touch initialization (either would race).
   size_t total_ops = 0;
   size_t max_job = 0;
+  slice_offsets_.resize(num_slices);
   for (size_t s = 0; s < num_slices; ++s) {
+    slice_offsets_[s] = total_ops;
     total_ops += slices[s].count;
     for (size_t i = 0; i < slices[s].count; ++i) {
       max_job = std::max(max_job, static_cast<size_t>(slices[s].ops[i].job.value()));
@@ -307,10 +309,6 @@ void Executor::ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
     segments_.resize(max_job + 1);
   }
   prepared_scratch_.assign(total_ops, PreparedOp{});
-  std::vector<size_t> offsets(num_slices, 0);
-  for (size_t s = 1; s < num_slices; ++s) {
-    offsets[s] = offsets[s - 1] + slices[s - 1].count;
-  }
 
   // gfair-parallel-apply-begin — the prepare fan-out. Only per-job /
   // per-server state of the slice's own server may be touched here; every
@@ -321,9 +319,9 @@ void Executor::ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
   // Parallel prepare: per-job and per-server state only. Slices target
   // pairwise-distinct servers (caller contract), so two chunks never touch
   // the same job, segment slot, or server occupancy.
-  pool.ParallelFor(num_slices, [&](size_t begin, size_t end) {
+  const auto prepare = [&](size_t begin, size_t end) {
     for (size_t s = begin; s < end; ++s) {
-      PreparedOp* prepared = prepared_scratch_.data() + offsets[s];
+      PreparedOp* prepared = prepared_scratch_.data() + slice_offsets_[s];
       SimDuration overlap_allowance = 0;
       for (size_t i = 0; i < slices[s].count; ++i) {
         const ScheduleOp& op = slices[s].ops[i];
@@ -338,14 +336,19 @@ void Executor::ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
         }
       }
     }
-  });
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(num_slices, prepare);
+  } else {
+    prepare(0, num_slices);
+  }
   // gfair-parallel-apply-end
 
   // Serial commit, in op order: exactly the sequence of running-list edits,
   // timer arms/disarms, counter bumps, pool holds and credits the serial
   // ApplyDelta performs — same event ids, same ledger stream.
   for (size_t s = 0; s < num_slices; ++s) {
-    const PreparedOp* prepared = prepared_scratch_.data() + offsets[s];
+    const PreparedOp* prepared = prepared_scratch_.data() + slice_offsets_[s];
     for (size_t i = 0; i < slices[s].count; ++i) {
       CommitOp(slices[s].ops[i], prepared[i]);
     }

@@ -252,8 +252,8 @@ class Executor {
   // Applies a batched schedule change: each op is a Suspend (resume=false)
   // or Resume (resume=true), executed strictly in list order — the producer
   // (sched::PlanDiffer) orders suspends before the resumes that need their
-  // GPUs. Batched calls at quantum edges (the scheduler applies one slice
-  // per diffed server) replace the per-job call storm.
+  // GPUs. The scheduler's tick applies through ApplyDeltaParallel; this
+  // single-verb form is the reference it must match slice by slice.
   void ApplyDelta(const ScheduleOp* ops, size_t count);
   void ApplyDelta(const std::vector<ScheduleOp>& ops) {
     ApplyDelta(ops.data(), ops.size());
@@ -265,9 +265,10 @@ class Executor {
     size_t count;
   };
 
-  // Applies many per-server slices with the per-job/per-server work fanned
-  // out across `pool` and a serial commit pass in slice order. Slices must
-  // target pairwise-distinct servers (disjoint jobs and GPUs by
+  // Applies many per-server slices in two passes: a prepare pass doing the
+  // per-job/per-server work, fanned out across `pool` (inline on the caller
+  // when `pool` is null), then a serial commit pass in slice order. Slices
+  // must target pairwise-distinct servers (disjoint jobs and GPUs by
   // construction); under that precondition the result — state, decision
   // order, event ids, credit stream — is bit-identical to calling
   // ApplyDelta on each slice in order, because everything order-sensitive
@@ -275,7 +276,7 @@ class Executor {
   // is replayed serially in op order by the commit pass. Suspend/resume
   // draw no RNG, so the fan-out cannot perturb streams.
   void ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
-                          common::ThreadPool& pool);
+                          common::ThreadPool* pool);
 
   // suspended -> migrating -> suspended on `dest` after the migration
   // latency. The migration-done callback then fires.
@@ -539,6 +540,7 @@ class Executor {
     bool done = false;           // suspends: caught at the finish instant
   };
   std::vector<PreparedOp> prepared_scratch_;
+  std::vector<size_t> slice_offsets_;  // per slice, its first prepared_scratch_ slot
 
   // ApplyDeltaParallel's three passes (see the public method for the
   // contract): prepare runs concurrently across slices and touches only

@@ -57,8 +57,6 @@ GandivaFairScheduler::GandivaFairScheduler(const SchedulerEnv& env,
       placement_(env_, config_, index_, residency_, *this),
       balancer_(env_, config_, index_, residency_, *this),
       trader_(env_, config_, index_, residency_, ticket_matrix_, decisions_, *this),
-      planner_(ClusterStateView(env_.cluster, index_)),
-      differ_(env_.jobs, env_.exec, ClusterStateView(env_.cluster, index_)),
       tick_pool_(std::max(config_.plan_threads, config_.apply_threads) > 1
                      ? std::make_unique<common::ThreadPool>(
                            std::max(config_.plan_threads, config_.apply_threads))
@@ -67,24 +65,23 @@ GandivaFairScheduler::GandivaFairScheduler(const SchedulerEnv& env,
   GFAIR_CHECK(config_.plan_shards >= 1);
   GFAIR_CHECK(config_.plan_threads >= 1);
   GFAIR_CHECK(config_.apply_threads >= 1);
-  if (config_.plan_shards > 1) {
-    // Fixed contiguous ceil-division partition of the server ids: shard s
-    // owns [s * span, (s + 1) * span). The partition depends only on
-    // (num_servers, plan_shards), never on runtime state, which is half of
-    // the determinism argument (the other half is the shard-order merge).
-    const size_t num_servers = static_cast<size_t>(env_.cluster.num_servers());
-    const size_t shards =
-        std::min<size_t>(static_cast<size_t>(config_.plan_shards),
-                         std::max<size_t>(num_servers, 1));
-    const size_t span = (num_servers + shards - 1) / shards;
-    const ClusterStateView view(env_.cluster, index_);
-    shards_.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      shards_.emplace_back(QuantumPlanner(view),
-                           PlanDiffer(env_.jobs, env_.exec, view),
-                           std::min(s * span, num_servers),
-                           std::min((s + 1) * span, num_servers));
-    }
+  // Fixed contiguous ceil-division partition of the server ids: shard s
+  // owns [s * span, (s + 1) * span); plan_shards = 1 is one shard spanning
+  // every server. The partition depends only on (num_servers, plan_shards),
+  // never on runtime state, which is half of the determinism argument (the
+  // other half is the shard-order merge).
+  const size_t num_servers = static_cast<size_t>(env_.cluster.num_servers());
+  const size_t shards =
+      std::min<size_t>(static_cast<size_t>(config_.plan_shards),
+                       std::max<size_t>(num_servers, 1));
+  const size_t span = (num_servers + shards - 1) / shards;
+  const ClusterStateView view(env_.cluster, index_);
+  shards_.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) {
+    shards_.emplace_back(QuantumPlanner(view),
+                         PlanDiffer(env_.jobs, env_.exec, view),
+                         std::min(s * span, num_servers),
+                         std::min((s + 1) * span, num_servers));
   }
 }
 
@@ -136,15 +133,8 @@ void GandivaFairScheduler::OnJobFinished(JobId id) {
   const Job& job = env_.jobs.Get(id);
   ResidencyIndex::JobInfo& info = residency_.Info(id);
   const ServerId server = info.home;
-  GFAIR_CHECK(server.valid());
   info.precopying = false;  // any in-flight pre-copy bulk is now stale
-
-  // Account the final partial quantum to the stride pass before removal.
-  LocalStrideScheduler& stride = index_.stride(server);
-  if (stride.Contains(id)) {
-    stride.Charge(id, env_.sim.Now() - info.last_charge);
-  }
-  DetachResident(id);
+  DetachAfterFinalCharge(id);
 
   if (residency_.DeregisterJob(id, job.user, job.gang_size)) {
     ApplyHierarchy();  // active set shrank
@@ -198,7 +188,6 @@ void GandivaFairScheduler::ScheduleRetryOrGiveUp(JobId id, ServerId dest) {
   }
   const SimDuration backoff =
       RetryBackoff(config_.migration_retry_backoff, retry.attempts);
-  retry.scheduled = true;
   const GpuGeneration gen = GenOf(dest);
   ++migration_retries_started_;
   env_.sim.After(backoff, [this, id, gen]() { RetryMigration(id, gen); });
@@ -206,7 +195,6 @@ void GandivaFairScheduler::ScheduleRetryOrGiveUp(JobId id, ServerId dest) {
 
 void GandivaFairScheduler::RetryMigration(JobId id, GpuGeneration gen) {
   RetryState& retry = RetryOf(id);
-  retry.scheduled = false;
   const Job& job = env_.jobs.Get(id);
   // The world may have moved on during the backoff: the job can have
   // finished, been orphaned (kQueued), or been sent migrating again by a
@@ -243,13 +231,7 @@ void GandivaFairScheduler::OnJobOrphaned(JobId id) {
   } else {
     // Resident victim of a server failure. Parallel to OnJobFinished:
     // account the final partial quantum, then detach from the dead server.
-    const ServerId server = info.home;
-    GFAIR_CHECK(server.valid());
-    LocalStrideScheduler& stride = index_.stride(server);
-    if (stride.Contains(id)) {
-      stride.Charge(id, env_.sim.Now() - info.last_charge);
-    }
-    DetachResident(id);
+    DetachAfterFinalCharge(id);
   }
   info.precopying = false;  // any in-flight pre-copy bulk is now stale
   RetryOf(id).attempts = 0;  // orphaning voids any in-progress retry budget
@@ -311,94 +293,36 @@ void GandivaFairScheduler::QuantumTick() {
   // (user, pool) and touches no job: segments fold lazily (executor.h).
   env_.exec.SyncPoint();
 
-  // One pass over the servers, fusing the pipeline's per-server stages —
-  // charge + sample, plan (or skip), commit (virtual-time floor + dirty
-  // clear), diff, apply — while that server's entries, heap and run
-  // segments are cache-hot (the charge walk just touched the very job and
-  // segment state the apply slice mutates). Charging is obligatory on every
+  // Charge / plan-or-skip / commit / diff every up server, shard by shard:
+  // on the tick pool when plan_threads > 1, inline otherwise (plan_shards =
+  // 1 is one shard spanning every server). Charging is obligatory on every
   // up server, skipped or not: stride passes must account the elapsed
-  // quantum. When trade epochs run (trading_), the profiler also sees one
-  // sample per running job either way. Servers' job sets are disjoint and
-  // suspend/resume draw no RNG, so the fused loop emits exactly the plan
-  // and delta of the phase-at-a-time composition (planner_.PlanTick →
-  // commit → differ_.Diff → exec.ApplyDelta, which tests still exercise) —
-  // stream-for-stream the decisions, RNG draws and profiler updates are
-  // identical. The executor sees one batched ApplyDelta per diffed server;
-  // delta_ accumulates the whole quantum's ops for introspection.
+  // quantum. Every cell a shard touches — a stride's passes and heap, a
+  // job's info and charge clock, a server's plan-dirty byte — belongs to
+  // exactly one shard's servers, so the shards commute; the serial reduce
+  // then replays the deferred profiler draws and merges the shard streams in
+  // ascending server order, making the tick bit-identical for any shard or
+  // thread count.
   plan_.Clear();
   delta_.Clear();
-  if (!shards_.empty()) {
-    // Sharded tick (plan_shards > 1): fan the per-shard charge/plan/diff
-    // across the tick pool (or run the shards inline when plan_threads is
-    // 1 — same seam, no threads). Every cell the fan-out touches — a
-    // stride's passes and heap, a job's info and charge clock, a server's
-    // plan-dirty byte — belongs to exactly one shard's servers, so the
-    // shards commute; the serial reduce then replays the deferred RNG
-    // draws and merges the shard streams in ascending server order, making
-    // the tick bit-identical to the serial path for any shard count.
-    slice_begins_.clear();
-    if (tick_pool_ && config_.plan_threads > 1) {
-      tick_pool_->ParallelFor(shards_.size(), [this](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s) {
-          // One ShardToken per shard, minted inside the fan-out: it unlocks
-          // exactly the shard's own PlanShard state (phase_tokens.h).
-          PlanShardRange(shards_[s], common::ShardToken{});
-        }
-      });
-    } else {
-      for (PlanShard& shard : shards_) {
-        PlanShardRange(shard, common::ShardToken{});
+  slice_begins_.clear();
+  if (tick_pool_ && config_.plan_threads > 1) {
+    tick_pool_->ParallelFor(shards_.size(), [this](size_t begin, size_t end) {
+      for (size_t s = begin; s < end; ++s) {
+        // One ShardToken per shard, minted inside the fan-out: it unlocks
+        // exactly the shard's own PlanShard state (phase_tokens.h).
+        PlanShardRange(shards_[s], common::ShardToken{});
       }
-    }
-    // The fan-out has joined — this thread is the tick's serial reduce and
-    // may mint the ReduceToken unlocking cross-shard state.
-    ReduceShards(common::ReduceToken{});
-    ApplyMergedSlices();
-  } else if (tick_pool_ && config_.apply_threads > 1) {
-    // Two-pass tick (apply_threads > 1): charge/plan/diff every server
-    // first, then batch the per-server slices across the pool. Nothing in
-    // the first pass consumes event ids or RNG beyond what the fused loop
-    // does at the same point in server order, and slices touch disjoint
-    // servers/jobs, so the streams match the serial path bit for bit.
-    slice_begins_.clear();
-    for (const auto& server : env_.cluster.servers()) {
-      if (!server.up()) {
-        continue;
-      }
-      const ServerId id = server.id();
-      ChargeAndSample(id, common::ReduceToken{});
-      LocalStrideScheduler& stride = index_.stride(id);
-      if (planner_.PlanServerOrSkip(id, &plan_)) {
-        const SchedulePlan::ServerTarget& target = plan_.servers.back();
-        stride.AdvanceVirtualTime(target.min_runnable_pass);
-        index_.ClearPlanDirty(id);
-        slice_begins_.push_back(delta_.ops.size());
-        differ_.DiffServer(plan_, target, &delta_);
-      } else {
-        stride.AdvanceVirtualTime(plan_.skipped_vt.back().second);
-      }
-    }
-    ApplyMergedSlices();
+    });
   } else {
-    for (const auto& server : env_.cluster.servers()) {
-      if (!server.up()) {
-        continue;
-      }
-      const ServerId id = server.id();
-      ChargeAndSample(id, common::ReduceToken{});
-      LocalStrideScheduler& stride = index_.stride(id);
-      if (planner_.PlanServerOrSkip(id, &plan_)) {
-        const SchedulePlan::ServerTarget& target = plan_.servers.back();
-        stride.AdvanceVirtualTime(target.min_runnable_pass);
-        index_.ClearPlanDirty(id);
-        const size_t ops_begin = delta_.ops.size();
-        differ_.DiffServer(plan_, target, &delta_);
-        ApplyDeltaSlice(ops_begin);
-      } else {
-        stride.AdvanceVirtualTime(plan_.skipped_vt.back().second);
-      }
+    for (PlanShard& shard : shards_) {
+      PlanShardRange(shard, common::ShardToken{});
     }
   }
+  // The fan-out has joined — this thread is the tick's serial reduce and
+  // may mint the ReduceToken unlocking cross-shard state.
+  ReduceShards(common::ReduceToken{});
+  ApplyMergedSlices();
 
   // A suspend that caught a job at its finish instant (its finish event,
   // queued behind this tick, would have come too late) left it with no work:
@@ -424,8 +348,15 @@ void GandivaFairScheduler::QuantumTick() {
 #endif
 }
 
-void GandivaFairScheduler::ChargeAndSample(ServerId server,
-                                           common::ReduceToken token) {
+// gfair-shard-parallel-begin — ChargeServer and PlanShardRange run
+// concurrently across shards. Only per-server / per-job state of the
+// shard's own contiguous id range may be touched here; every cross-shard
+// concern (RNG draws, the merged plan_/delta_, decisions, migrations)
+// belongs to ReduceShards and later. gfair_lint's shard-locality rule
+// enforces the denylist over this region.
+void GandivaFairScheduler::ChargeServer(
+    ServerId server, std::vector<PendingSample>* pending_samples,
+    common::ShardToken) {
   LocalStrideScheduler& stride = index_.stride(server);
   const GpuGeneration gen = GenOf(server);
   const SimTime now = env_.sim.Now();
@@ -443,45 +374,11 @@ void GandivaFairScheduler::ChargeAndSample(ServerId server,
       ResidencyIndex::JobInfo& info = residency_.Info(id);
       stride.ChargeAt(positions[i], now - info.last_charge);
       info.last_charge = now;
-      if (trading_) {
-        trader_.RecordSample(info.model, gen,
-                             PerGpuRate::FromGangRate(env_.exec.SampleObservedRate(id),
-                                                      info.gang_size),
-                             token);
-      }
-    }
-  }
-}
-
-// gfair-shard-parallel-begin — ChargeServer and PlanShardRange run
-// concurrently across shards. Only per-server / per-job state of the
-// shard's own contiguous id range may be touched here; every cross-shard
-// concern (RNG draws, the merged plan_/delta_, decisions, migrations)
-// belongs to ReduceShards and later. gfair_lint's shard-locality rule
-// enforces the denylist over this region.
-void GandivaFairScheduler::ChargeServer(
-    ServerId server, std::vector<PendingSample>* pending_samples,
-    common::ShardToken) {
-  LocalStrideScheduler& stride = index_.stride(server);
-  const GpuGeneration gen = GenOf(server);
-  const SimTime now = env_.sim.Now();
-  const std::vector<JobId>& resident = stride.ResidentJobs();
-  const std::vector<uint32_t>& positions = stride.ResidentPositions();
-  for (size_t i = 0; i < resident.size(); ++i) {
-    if (i + 1 < resident.size()) {
-      env_.exec.PrefetchJobState(resident[i + 1]);
-      residency_.PrefetchInfo(resident[i + 1]);
-    }
-    const JobId id = resident[i];
-    if (env_.exec.IsRunning(id)) {
-      ResidencyIndex::JobInfo& info = residency_.Info(id);
-      stride.ChargeAt(positions[i], now - info.last_charge);
-      info.last_charge = now;
       // The profiler sample draws from the executor's single RNG stream, so
       // it is deferred: the reduce step replays the buffered jobs in
-      // ascending server order, reproducing the serial tick's draw order
-      // exactly. Everything but the rate is captured here, while info is
-      // hot, so the replay touches only executor segment state per job.
+      // ascending server order, one draw per running job in charge order.
+      // Everything but the rate is captured here, while info is hot, so the
+      // replay touches only executor segment state per job.
       if (trading_) {
         pending_samples->push_back(PendingSample{id, info.model, gen, info.gang_size});
       }
@@ -520,12 +417,12 @@ void GandivaFairScheduler::ReduceShards(common::ReduceToken token) {
   // ReduceToken unlocks the shard merge and the profiler feed). Shards
   // partition the ids in ascending contiguous ranges and are merged in
   // shard order, so every stream below — sample draws, plan entries, delta
-  // ops, slice offsets — comes out in exactly the serial planner's
-  // ascending-server-order, independent of shard and thread count.
-  for (const PlanShard& shard : shards_) {
+  // ops, slice offsets — comes out in ascending server order, independent
+  // of shard and thread count.
+  for (PlanShard& shard : shards_) {
     // Profiler samples: one RNG draw per running job, in charge order. The
     // jobs' segment state is scattered by id, so pipeline the next lookup
-    // behind the current draw (as the charge walks do).
+    // behind the current draw (as the charge walk does).
     const std::vector<PendingSample>& samples = shard.pending_samples(token);
     for (size_t i = 0; i < samples.size(); ++i) {
       if (i + 1 < samples.size()) {
@@ -543,50 +440,31 @@ void GandivaFairScheduler::ReduceShards(common::ReduceToken token) {
 }
 
 void GandivaFairScheduler::ApplyMergedSlices() {
-  if (tick_pool_ && config_.apply_threads > 1) {
-    // slice_scratch_ materializes the ApplySlice pointers only now —
-    // delta_.ops can no longer reallocate.
-    slice_scratch_.clear();
-    for (size_t s = 0; s < slice_begins_.size(); ++s) {
-      const size_t begin = slice_begins_[s];
-      const size_t end =
-          s + 1 < slice_begins_.size() ? slice_begins_[s + 1] : delta_.ops.size();
-      if (begin < end) {
-        slice_scratch_.push_back(
-            exec::Executor::ApplySlice{delta_.ops.data() + begin, end - begin});
-      }
-    }
-    if (!slice_scratch_.empty()) {
-      env_.exec.ApplyDeltaParallel(slice_scratch_.data(), slice_scratch_.size(),
-                                   *tick_pool_);
-      RecordAppliedOps(0, delta_.ops.size());
-    }
-  } else {
-    for (size_t s = 0; s < slice_begins_.size(); ++s) {
-      const size_t begin = slice_begins_[s];
-      const size_t end =
-          s + 1 < slice_begins_.size() ? slice_begins_[s + 1] : delta_.ops.size();
-      if (begin < end) {
-        env_.exec.ApplyDelta(delta_.ops.data() + begin, end - begin);
-        RecordAppliedOps(begin, end);
-      }
+  // slice_scratch_ materializes the ApplySlice pointers only now — delta_.ops
+  // can no longer reallocate. One prepare/commit apply for the whole tick;
+  // the prepare pass fans out only when apply_threads > 1.
+  slice_scratch_.clear();
+  for (size_t s = 0; s < slice_begins_.size(); ++s) {
+    const size_t begin = slice_begins_[s];
+    const size_t end =
+        s + 1 < slice_begins_.size() ? slice_begins_[s + 1] : delta_.ops.size();
+    if (begin < end) {
+      slice_scratch_.push_back(
+          exec::Executor::ApplySlice{delta_.ops.data() + begin, end - begin});
     }
   }
-}
-
-void GandivaFairScheduler::ApplyDeltaSlice(size_t ops_begin) {
-  const size_t ops_end = delta_.ops.size();
-  if (ops_begin == ops_end) {
+  if (slice_scratch_.empty()) {
     return;
   }
-  env_.exec.ApplyDelta(delta_.ops.data() + ops_begin, ops_end - ops_begin);
-  RecordAppliedOps(ops_begin, ops_end);
+  env_.exec.ApplyDeltaParallel(
+      slice_scratch_.data(), slice_scratch_.size(),
+      config_.apply_threads > 1 ? tick_pool_.get() : nullptr);
+  RecordAppliedOps();
 }
 
-void GandivaFairScheduler::RecordAppliedOps(size_t ops_begin, size_t ops_end) {
+void GandivaFairScheduler::RecordAppliedOps() {
   const SimTime now = env_.sim.Now();
-  for (size_t i = ops_begin; i < ops_end; ++i) {
-    const exec::ScheduleOp& op = delta_.ops[i];
+  for (const exec::ScheduleOp& op : delta_.ops) {
     if (op.resume) {
       decisions_.Record(now, DecisionType::kResume, op.job, ServerId::Invalid(),
                         op.server);
@@ -638,6 +516,17 @@ void GandivaFairScheduler::AttachResident(JobId id, ServerId server) {
   ledger_.RecordDemandChange(job.user, gen, env_.sim.Now(), job.gang_size);
 }
 
+void GandivaFairScheduler::DetachAfterFinalCharge(JobId id) {
+  const ResidencyIndex::JobInfo& info = residency_.Info(id);
+  GFAIR_CHECK(info.home.valid());
+  // Account the final partial quantum to the stride pass before removal.
+  LocalStrideScheduler& stride = index_.stride(info.home);
+  if (stride.Contains(id)) {
+    stride.Charge(id, env_.sim.Now() - info.last_charge);
+  }
+  DetachResident(id);
+}
+
 void GandivaFairScheduler::DetachResident(JobId id) {
   Job& job = env_.jobs.Get(id);
   ResidencyIndex::JobInfo& info = residency_.Info(id);
@@ -685,7 +574,12 @@ void GandivaFairScheduler::ExecuteMigration(JobId id, ServerId dest,
                << " to " << dest;
     return;
   }
+  StopAndCopy(id, dest, /*precopied=*/false);
+}
 
+void GandivaFairScheduler::StopAndCopy(JobId id, ServerId dest, bool precopied) {
+  ResidencyIndex::JobInfo& info = residency_.Info(id);
+  const ServerId source = info.home;
   if (env_.exec.IsRunning(id)) {
     index_.stride(source).Charge(id, env_.sim.Now() - info.last_charge);
     env_.exec.Suspend(id);
@@ -693,9 +587,15 @@ void GandivaFairScheduler::ExecuteMigration(JobId id, ServerId dest,
   DetachResident(id);
   info.migrating = true;
   info.last_migration = env_.sim.Now();
-  info.home = dest;  // AttachResident uses this when the migration lands
-  env_.exec.Migrate(id, dest);
-  GFAIR_DLOG << "migrating job " << id << " from server " << source << " to " << dest;
+  info.home = dest;  // AttachResident uses this when the transfer lands
+  if (precopied) {
+    env_.exec.MigrateTail(id, dest);
+    GFAIR_DLOG << "pre-copy cutover: job " << id << " from server " << source
+               << " to " << dest;
+  } else {
+    env_.exec.Migrate(id, dest);
+    GFAIR_DLOG << "migrating job " << id << " from server " << source << " to " << dest;
+  }
   FillIdleGpus(source);
 }
 
@@ -714,19 +614,7 @@ bool GandivaFairScheduler::OnPrecopyCutover(JobId id, ServerId dest) {
   if (env_.exec.FinishDue(id)) {
     return false;  // the job finishes at this instant (see EmitMigration)
   }
-  const ServerId source = info.home;
-  if (env_.exec.IsRunning(id)) {
-    index_.stride(source).Charge(id, env_.sim.Now() - info.last_charge);
-    env_.exec.Suspend(id);
-  }
-  DetachResident(id);
-  info.migrating = true;
-  info.last_migration = env_.sim.Now();
-  info.home = dest;  // AttachResident uses this when the tail lands
-  env_.exec.MigrateTail(id, dest);
-  GFAIR_DLOG << "pre-copy cutover: job " << id << " from server " << source
-             << " to " << dest;
-  FillIdleGpus(source);
+  StopAndCopy(id, dest, /*precopied=*/true);
   return true;
 }
 

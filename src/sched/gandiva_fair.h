@@ -17,27 +17,27 @@
 // The facade implements the event-driven core (submit/finish/migration
 // callbacks) and the cross-cutting services the subsystems consume via
 // ISchedulerHost (EmitMigration, entitlements, ticket refresh). The quantum
-// tick itself is a pipeline over the planner/differ value types, fused into
-// one pass per server for cache locality (servers are independent, so the
-// fused loop emits exactly the phase-at-a-time plan and delta):
+// tick itself is one pipeline over the planner/differ value types, run the
+// same way for every knob value:
 //
 //   sync point (Executor::SyncPoint: GPU time credited per user and pool;
 //               run segments fold their progress lazily)
-//   per server: charge + sample  ->  plan or skip  ->  commit (vt, dirty)
-//               ->  diff  ->  Executor::ApplyDelta (the server's batch)
-//               ->  record decisions
+//   per shard:  per up server, charge -> plan or skip -> commit (vt, dirty)
+//               -> diff   (shards on the tick pool when plan_threads > 1)
+//   reduce:     profiler sample draws, then the shard plans/deltas merged
+//               in ascending server order
+//   apply:      one Executor::ApplyDeltaParallel call (prepare pass on the
+//               tick pool when apply_threads > 1, serial commit) -> record
+//               decisions
 //
-// The charge walks each up server's running jobs by stride entry position.
-// Profiler samples are drawn only when trade epochs run (trading on a
-// multi-generation cluster): the epochs are the profiler's only reader.
+// Shards are contiguous server-id ranges; plan_shards = 1 is one shard
+// spanning every server. The charge walks each up server's running jobs by
+// stride entry position. Profiler samples are drawn only when trade epochs
+// run (trading on a multi-generation cluster): the epochs are the
+// profiler's only reader. Decisions are bit-identical for any shard and
+// thread count (see DESIGN.md "Quantum pipeline", and docs/ARCHITECTURE.md
+// "Quantum tick" for the full walk-through).
 //
-// With plan_shards > 1 the same pipeline runs per contiguous server shard
-// on ThreadPool threads (sample draws deferred), a serial reduce step
-// replays the samples and merges the shard plans/deltas in ascending server
-// order, and the apply consumes the merged slices — bit-identical decisions
-// for any shard count (see DESIGN.md "Sharded planning").
-//
-// (see docs/ARCHITECTURE.md "The quantum tick" for the full walk-through).
 // Combines, on top of the Executor substrate:
 //   * per-server gang-aware stride schedulers driven by a global quantum tick
 //     (split stride design: central placement, local time slicing);
@@ -133,40 +133,33 @@ struct GandivaFairConfig {
   int migration_max_retries = 3;
   SimDuration migration_retry_backoff = Seconds(30);
 
-  // --- quantum-tick actuation ---
-  // Threads (counting the caller) batching the per-server ApplyDelta slices
-  // at each quantum tick. 1 = fully serial fused pipeline (the default).
-  // >1 = two-pass tick: charge/plan/diff every server first, then fan the
-  // per-server slices across a ThreadPool via Executor::ApplyDeltaParallel.
-  // Slices target disjoint servers/jobs/GPUs by construction and everything
-  // order-sensitive is committed serially in op order, so the decision log,
-  // event-id stream, RNG draws and accounting are bit-identical to the
-  // serial path (the decision-log cross-check test pins this).
+  // --- quantum-tick threading ---
+  // The tick always runs the same pipeline (see the class comment); these
+  // knobs only split its work, and decisions, RNG draws, event ids and
+  // accounting are bit-identical for any values (the equivalence suite's
+  // knob cross-product pins this).
+  //
+  // Threads (counting the caller) running the apply's prepare pass across
+  // the per-server slices via Executor::ApplyDeltaParallel. 1 (the default)
+  // prepares inline. Slices target disjoint servers/jobs/GPUs by
+  // construction and everything order-sensitive is committed serially in
+  // op order.
   int apply_threads = 1;
 
-  // --- sharded parallel planning ---
-  // Shards the tick's plan phase: servers are partitioned into plan_shards
-  // fixed contiguous id ranges and each shard runs charge + plan + commit +
-  // diff into its own planner/differ/plan/delta (the per-server dirty-set
-  // skip keeps each shard's work proportional to its churn). A serial
-  // reduce step then owns every cross-shard concern: the profiler sample
-  // draws (the executor RNG stays one serial stream), the plan/delta merge,
-  // and the apply-slice bookkeeping. Balancer / steal / trade
-  // MigrationDirectives never run inside the shard fan-out — they are
+  // Number of fixed contiguous server-id ranges the charge/plan/commit/diff
+  // stage is split into, each with its own planner/differ/plan/delta (the
+  // per-server dirty-set skip keeps each shard's work proportional to its
+  // churn). A serial reduce step then owns every cross-shard concern: the
+  // profiler sample draws (the executor RNG stays one serial stream) and
+  // the plan/delta merge in ascending server order. Balancer / steal /
+  // trade MigrationDirectives never run inside the shard fan-out — they are
   // emitted between ticks or after the apply, straight into the merged
-  // plan. Because shards are contiguous ascending id ranges merged in shard
-  // order, the merged streams are exactly the serial planner's
-  // ascending-server-order streams — bit-identical for ANY shard count
-  // (the equivalence suite and the shard-count-invariance test pin this).
-  // 1 = the unsharded pipeline (the default). Counts above the server count
-  // are clamped.
+  // plan. 1 (the default) is one shard spanning every server. Counts above
+  // the server count are clamped.
   int plan_shards = 1;
   // Threads (counting the caller) fanning the shards across the tick's
-  // ThreadPool. 1 plans the shards inline on the caller (still exercising
-  // the shard/reduce seam); >1 shares one pool with the parallel apply,
-  // sized max(plan_threads, apply_threads). Thread count never affects
-  // decisions — only shard state is touched in the fan-out, and the merge
-  // reads it in shard order.
+  // ThreadPool. 1 walks the shards inline on the caller; >1 shares one pool
+  // with the apply's prepare pass, sized max(plan_threads, apply_threads).
   int plan_threads = 1;
 };
 
@@ -267,20 +260,14 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   // cross-shard merge, the deferred profiler-sample replay and the
   // executor's global accounting. Only this facade (and the executor, for
   // ReduceToken) can mint them, so phase violations are compile errors.
-  // Stride pass charging + profiler feeding (when trading_) for one up
-  // server, fused into a single resident walk (both touch exactly the
-  // running jobs). Serial by construction — hence the ReduceToken for the
-  // profiler feed.
-  void ChargeAndSample(ServerId server, common::ReduceToken token);
-  // The shard-parallel half of ChargeAndSample: charges one up server's
-  // stride passes and, when trading_, buffers its running jobs for the
-  // reduce step's serial sample replay (the draw itself consumes the
-  // executor's single RNG stream, so it cannot run here).
+  // Charges one up server's stride passes and, when trading_, buffers its
+  // running jobs for the reduce step's serial sample replay (the draw itself
+  // consumes the executor's single RNG stream, so it cannot run here).
   void ChargeServer(ServerId server, std::vector<PendingSample>* pending_samples,
                     common::ShardToken token);
-  // The per-shard parallel phase: charge / plan-or-skip / commit / diff
-  // every up server of the shard's range into the shard's own plan + delta
-  // (sched/plan_shard.h). Runs concurrently across shards — touches only
+  // The per-shard phase: charge / plan-or-skip / commit / diff every up
+  // server of the shard's range into the shard's own plan + delta
+  // (sched/plan_shard.h). May run concurrently across shards — touches only
   // per-server and per-job state owned by the shard's range, unlocked by
   // the shard's token (gfair_lint's shard-locality rule additionally
   // enforces a cross-shard denylist over the region).
@@ -290,35 +277,38 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   // samples in ascending server order (one RNG stream, serial draw order),
   // then merges the per-shard plans and deltas into
   // plan_/delta_/slice_begins_; shard order is ascending server order, so
-  // the merged streams equal the serial planner's for any shard count.
+  // the merged streams are the same for any shard count.
   void ReduceShards(common::ReduceToken token);
-  // Applies the merged delta_ slice by slice: per-server serial ApplyDelta
-  // when apply_threads == 1, one ApplyDeltaParallel batch otherwise. Also
-  // the apply tail of the unsharded two-pass path.
+  // Applies the merged delta_ in one Executor::ApplyDeltaParallel call (its
+  // prepare pass fans out over the tick pool only when apply_threads > 1),
+  // then records the decisions.
   void ApplyMergedSlices();
-  // Applies delta_.ops[ops_begin..end) — one diffed server's batch — then
-  // records the decisions and resets resumed jobs' charge clocks.
-  void ApplyDeltaSlice(size_t ops_begin);
-  // The decision/charge-clock bookkeeping shared by both apply paths: one
-  // DecisionLog record per op (in op order) and a last_charge reset per
-  // resume.
-  void RecordAppliedOps(size_t ops_begin, size_t ops_end);
+  // One DecisionLog record per applied op (in op order) and a last_charge
+  // reset per resume.
+  void RecordAppliedOps();
 
   // Mid-quantum work conservation (arrivals/finishes/landed migrations).
   void FillIdleGpus(ServerId server);
 
   // The shared migration path EmitMigration funnels into.
   void ExecuteMigration(JobId id, ServerId dest, MigrationCause cause);
+  // The stop-and-copy step shared by a plain migration and a pre-copy
+  // cutover: charge and suspend the job if running, detach it from its
+  // source, ship it to `dest` (the full checkpoint, or only the dirtied tail
+  // when `precopied`), then refill the source's idle GPUs.
+  void StopAndCopy(JobId id, ServerId dest, bool precopied);
 
   // Residency transitions (stride + residency + ledger, in lockstep).
   void AttachResident(JobId id, ServerId server);
   void DetachResident(JobId id);  // inverse (before migrate/finish)
+  // A finished or orphaned resident leaves: its final partial quantum is
+  // charged to the stride pass, then it is detached.
+  void DetachAfterFinalCharge(JobId id);
 
   // Fault handling.
   // Per-job migration-retry bookkeeping, indexed by (dense) job id.
   struct RetryState {
-    int attempts = 0;          // consecutive failed transfer attempts
-    bool scheduled = false;    // a backoff timer is pending for this job
+    int attempts = 0;  // consecutive failed transfer attempts
     MigrationCause cause = MigrationCause::kBalance;  // cause of the attempt
   };
   RetryState& RetryOf(JobId id);
@@ -375,27 +365,25 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   LoadBalancer balancer_;
   TradeCoordinator trader_;
 
-  // Quantum pipeline stages + their value-type scratch (plan_/delta_ are
-  // cleared and refilled in place each quantum; steady-state ticks allocate
-  // nothing). plan_.migrations additionally collects the directives emitted
-  // by balancer/trader/stealing since the last tick.
-  QuantumPlanner planner_;
-  PlanDiffer differ_;
+  // The quantum's merged plan and delta (cleared and refilled in place each
+  // quantum; steady-state ticks allocate nothing). plan_.migrations
+  // additionally collects the directives emitted by balancer/trader/
+  // stealing since the last tick.
   SchedulePlan plan_;
   ScheduleDelta delta_;
 
   // The tick's fork-join pool, shared by the two fan-outs — the shard plan
-  // phase (plan_threads) and the parallel apply (apply_threads) — sized
-  // max(plan_threads, apply_threads); null when both are 1.
+  // phase (plan_threads) and the apply's prepare pass (apply_threads) —
+  // sized max(plan_threads, apply_threads); null when both are 1.
   // slice_begins_ records each diffed server's offset into delta_.ops
-  // during the plan pass (or the reduce merge); slice_scratch_ materializes
-  // the ApplySlice pointers only after the pass, since delta_.ops may
-  // reallocate while growing.
+  // during the reduce merge; slice_scratch_ materializes the ApplySlice
+  // pointers only after the merge, since delta_.ops may reallocate while
+  // growing.
   std::unique_ptr<common::ThreadPool> tick_pool_;
   std::vector<size_t> slice_begins_;
   std::vector<exec::Executor::ApplySlice> slice_scratch_;
-  // Plan shards (empty when plan_shards <= 1): fixed contiguous partition
-  // of the server ids, sized once at construction.
+  // Plan shards: fixed contiguous partition of the server ids into
+  // min(plan_shards, servers) ranges, sized once at construction.
   std::vector<PlanShard> shards_;
 
   // Post-quantum cluster-wide invariant sweep (declared last: reads the

@@ -1,5 +1,7 @@
-// PlanShard — one shard's private pipeline state for the sharded quantum
-// tick (plan_shards > 1), with phase-capability access control.
+// PlanShard — one shard's private pipeline state for the quantum tick,
+// with phase-capability access control. Every tick runs its charge / plan /
+// commit / diff stage shard by shard; plan_shards = 1 is one shard spanning
+// every server.
 //
 // Each shard owns a planner/differ pair (both carry per-call scratch), its
 // own plan and delta, the per-diffed-server offsets into that delta, and
@@ -72,11 +74,13 @@ class PlanShard {
   }
 
   // Appends this shard's plan and delta onto the merged streams, re-basing
-  // target-job spans and slice offsets. Shards are merged in ascending
-  // shard (= server) order by the caller, so the merged streams equal the
-  // serial planner's for any shard count.
+  // target-job spans and slice offsets; a stream that is still empty takes
+  // the shard's buffer instead of a copy. Shards are merged in ascending
+  // shard (= server) order by the caller, so the merged streams are in
+  // ascending server order and the same for any shard count. Leaves the
+  // shard's streams unspecified until its next BeginTick.
   void MergeInto(SchedulePlan* plan, ScheduleDelta* delta,
-                 std::vector<size_t>* slice_begins, common::ReduceToken) const;
+                 std::vector<size_t>* slice_begins, common::ReduceToken);
 
  private:
   QuantumPlanner planner_;

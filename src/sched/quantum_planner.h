@@ -60,10 +60,11 @@ class QuantumPlanner {
 
   // The per-server step PlanTick composes: appends either a ServerTarget
   // (planned) or a skipped_vt entry (skip conditions hold) for `server`.
-  // Returns true when the server was planned. Exposed so the facade can fuse
-  // planning into its per-server tick loop while the server's stride state
-  // is cache-hot; servers are planned independently, so per-server calls in
-  // ascending id order build exactly PlanTick's plan. Precondition: up.
+  // Returns true when the server was planned. Exposed so the tick's shard
+  // walk can plan each server right after charging it, while the server's
+  // stride state is cache-hot; servers are planned independently, so
+  // per-server calls in ascending id order build exactly PlanTick's plan.
+  // Precondition: up.
   // [[nodiscard]]: the caller owes the commit step (virtual-time advance +
   // dirty clear) only for planned servers, so the planned/skipped outcome
   // must not be dropped.

@@ -4,7 +4,8 @@
 //
 //   QuantumPlanner:  ClusterStateIndex snapshot  →  SchedulePlan   (pure)
 //   PlanDiffer:      SchedulePlan × running set  →  ScheduleDelta  (pure)
-//   Executor:        ApplyDelta(ScheduleDelta)                     (mutates)
+//   Executor:        ApplyDeltaParallel(per-server slices of the
+//                    ScheduleDelta): prepare, then commit          (mutates)
 //
 // A SchedulePlan is the *desired* occupancy: for each planned server, the
 // ordered set of jobs that should hold its GPUs for the coming quantum.

@@ -38,9 +38,10 @@ class TradeCoordinator {
                    TicketMatrix& tickets, DecisionLog& decisions,
                    ISchedulerHost& host);
 
-  // Profiling: one observed-rate sample for a running job (the facade's
-  // fused charge+sample loop feeds this every quantum, normalizing the
-  // whole-gang rate with PerGpuRate::FromGangRate at the executor boundary).
+  // Profiling: one observed-rate sample for a running job (the tick's
+  // reduce step feeds this every quantum while trade epochs run, normalizing
+  // the whole-gang rate with PerGpuRate::FromGangRate at the executor
+  // boundary).
   // The sample draw consumes the executor's single RNG stream, so feeding
   // the profiler is a serial-phase operation: the ReduceToken (mintable
   // only at the tick's serial points — see common/phase_tokens.h) makes

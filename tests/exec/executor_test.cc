@@ -282,7 +282,7 @@ TEST_F(ExecutorTest, ParallelSuspendAtFinishInstantFinishesTheJob) {
   sim_.At(finish_at, [&] {
     const Executor::ApplySlice slices[] = {{k80.data(), k80.size()},
                                            {v100.data(), v100.size()}};
-    exec_.ApplyDeltaParallel(slices, 2, pool);
+    exec_.ApplyDeltaParallel(slices, 2, &pool);
   });
   exec_.Resume(done.id);
   exec_.Resume(early.id);

@@ -129,7 +129,7 @@ TEST(ParallelApplyTest, MatchesSerialSliceApplicationBitForBit) {
   for (const auto& ops : par_slices) {
     slice_views.push_back({ops.data(), ops.size()});
   }
-  parallel.exec.ApplyDeltaParallel(slice_views.data(), slice_views.size(), pool);
+  parallel.exec.ApplyDeltaParallel(slice_views.data(), slice_views.size(), &pool);
 
   ExpectWorldsIdentical(serial, parallel);
 
@@ -166,7 +166,7 @@ TEST(ParallelApplyTest, AccountingMatchesSerialWithOverlapWarmup) {
   for (const auto& ops : par_slices) {
     slice_views.push_back({ops.data(), ops.size()});
   }
-  parallel.exec.ApplyDeltaParallel(slice_views.data(), slice_views.size(), pool);
+  parallel.exec.ApplyDeltaParallel(slice_views.data(), slice_views.size(), &pool);
 
   ExpectWorldsIdentical(serial, parallel);
   ExpectAccountingIdentical(serial.exec.accounting(), parallel.exec.accounting());
@@ -175,15 +175,61 @@ TEST(ParallelApplyTest, AccountingMatchesSerialWithOverlapWarmup) {
   EXPECT_GT(serial.exec.accounting().overlap_saved_ms(), 0);
 }
 
+// A null pool runs the prepare pass inline on the caller — the scheduler's
+// tick does this whenever apply_threads is 1. Two calls of different slice
+// counts go through the same reused scratch; both must match the serial
+// per-slice ApplyDelta exactly, overlap accounting included.
+TEST(ParallelApplyTest, NullPoolPreparesInlineBitForBit) {
+  ExecutorConfig config;
+  config.overlap_warmup = true;
+  World serial(config);
+  World inline_apply(config);
+  serial.Populate();
+  inline_apply.Populate();
+
+  const auto slices = serial.FlipSlices();
+  for (const auto& ops : slices) {
+    serial.exec.ApplyDelta(ops);
+  }
+  const auto inline_slices = inline_apply.FlipSlices();
+  std::vector<Executor::ApplySlice> slice_views;
+  for (const auto& ops : inline_slices) {
+    slice_views.push_back({ops.data(), ops.size()});
+  }
+  inline_apply.exec.ApplyDeltaParallel(slice_views.data(), slice_views.size(),
+                                       /*pool=*/nullptr);
+  ExpectWorldsIdentical(serial, inline_apply);
+  ExpectAccountingIdentical(serial.exec.accounting(), inline_apply.exec.accounting());
+
+  // Flip back the first server only: a one-slice call after a four-slice one.
+  serial.sim.RunUntil(Minutes(2));
+  inline_apply.sim.RunUntil(Minutes(2));
+  std::vector<ScheduleOp> back;
+  for (int j = 0; j < kJobsPerServer; ++j) {
+    back.push_back({JobId((j + 2) % kJobsPerServer), slices[0][0].server,
+                    /*resume=*/j >= 2});
+  }
+  serial.exec.ApplyDelta(back);
+  const Executor::ApplySlice one{back.data(), back.size()};
+  inline_apply.exec.ApplyDeltaParallel(&one, 1, /*pool=*/nullptr);
+  ExpectWorldsIdentical(serial, inline_apply);
+
+  serial.sim.Run();
+  inline_apply.sim.Run();
+  EXPECT_EQ(serial.sim.Now(), inline_apply.sim.Now());
+  ExpectWorldsIdentical(serial, inline_apply);
+  ExpectAccountingIdentical(serial.exec.accounting(), inline_apply.exec.accounting());
+}
+
 TEST(ParallelApplyTest, SingleSliceAndEmptySlicesAreHandled) {
   World world;
   world.Populate();
   common::ThreadPool pool(2);
-  world.exec.ApplyDeltaParallel(nullptr, 0, pool);  // no-op
+  world.exec.ApplyDeltaParallel(nullptr, 0, &pool);  // no-op
 
   const auto slices = world.FlipSlices();
   const Executor::ApplySlice one{slices[0].data(), slices[0].size()};
-  world.exec.ApplyDeltaParallel(&one, 1, pool);
+  world.exec.ApplyDeltaParallel(&one, 1, &pool);
   EXPECT_EQ(world.jobs.Get(JobId(0)).state, JobState::kSuspended);
   EXPECT_EQ(world.jobs.Get(JobId(2)).state, JobState::kRunning);
 }

@@ -157,7 +157,7 @@ std::vector<Op> Scenario(common::ThreadPool& pool) {
          const std::vector<ScheduleOp> v100 = {{JobId(3), w.V100(), /*resume=*/true}};
          const Executor::ApplySlice slices[] = {{k80.data(), k80.size()},
                                                 {v100.data(), v100.size()}};
-         w.exec.ApplyDeltaParallel(slices, 2, pool);
+         w.exec.ApplyDeltaParallel(slices, 2, &pool);
        }},
       {Seconds(500), [](World& w) { w.exec.Suspend(JobId(2)); }},
   };

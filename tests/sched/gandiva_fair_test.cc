@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "analysis/harness.h"
 #include "analysis/metrics.h"
@@ -232,10 +233,13 @@ TEST(GandivaFairTest, NoProfileSamplesWithTradingOff) {
 // the job. The tick's suspend catches the job with its work done; it must
 // finish at that instant. (Before, it stayed suspended with no work left
 // and the next resume aborted on `remaining > 0`.)
+// ctest names these cases after the parameter's byte dump; the 16-bit knobs
+// keep it at 16 bytes.
 struct TickPath {
   const char* name;
-  int apply_threads;
-  int plan_shards;
+  int16_t apply_threads;
+  int16_t plan_shards;
+  int16_t plan_threads;
 };
 
 class FinishOnTickTest : public ::testing::TestWithParam<TickPath> {};
@@ -249,6 +253,7 @@ TEST_P(FinishOnTickTest, JobSuspendedAtItsFinishInstantFinishesThere) {
   GandivaFairConfig sched_config;
   sched_config.apply_threads = GetParam().apply_threads;
   sched_config.plan_shards = GetParam().plan_shards;
+  sched_config.plan_threads = GetParam().plan_threads;
   exp.UseGandivaFair(sched_config);
 
   for (SimTime tick : {Minutes(1), Minutes(3)}) {
@@ -279,8 +284,8 @@ TEST_P(FinishOnTickTest, JobSuspendedAtItsFinishInstantFinishesThere) {
 
 INSTANTIATE_TEST_SUITE_P(
     TickPaths, FinishOnTickTest,
-    ::testing::Values(TickPath{"Serial", 1, 1}, TickPath{"ParallelApply", 2, 1},
-                      TickPath{"Sharded", 1, 2}),
+    ::testing::Values(TickPath{"Serial", 1, 1, 1}, TickPath{"ParallelApply", 2, 1, 1},
+                      TickPath{"Sharded", 1, 2, 1}, TickPath{"Pooled", 2, 2, 2}),
     [](const ::testing::TestParamInfo<TickPath>& path) { return path.param.name; });
 
 TEST(GandivaFairTest, TradingImprovesLenderWithoutHurtingBorrower) {

@@ -37,6 +37,7 @@
 //   --dump-decisions F   write the scheduler's decision-log tail to a file
 //   --snapshot       print the end-of-run cluster snapshot (GandivaFair only)
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -60,6 +61,30 @@ namespace {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "gfairsim: %s (use --help)\n", message.c_str());
   return 1;
+}
+
+// Numeric flags: an absent flag leaves `*out` at its default; a present one
+// must parse completely (and, for doubles, be finite) or the read fails.
+bool ReadDouble(const ArgParser& args, const std::string& name, double* out) {
+  if (!args.Has(name)) {
+    return true;
+  }
+  double value = 0.0;
+  if (!args.TryGetDouble(name, &value) || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ReadInt(const ArgParser& args, const std::string& name, int64_t* out) {
+  return !args.Has(name) || args.TryGetInt(name, out);
+}
+
+// The diagnostic for a numeric flag that failed to read or is out of range.
+std::string BadNumber(const ArgParser& args, const std::string& name,
+                      const std::string& accepted) {
+  return "--" + name + " must be " + accepted + ", got '" + args.GetString(name) + "'";
 }
 
 void PrintHelp() {
@@ -281,12 +306,16 @@ int main(int argc, char** argv) {
     return Fail("unknown --policy");
   }
   const bool compare = args.GetBool("compare");
-  const double hours = args.GetDouble("hours", 12.0);
-  if (hours <= 0 || hours > 24 * 365) {
-    return Fail("--hours out of range");
+  double hours = 12.0;
+  if (!ReadDouble(args, "hours", &hours) || hours <= 0 || hours > 24 * 365) {
+    return Fail(BadNumber(args, "hours", "a number in (0, 8760]"));
   }
   const SimTime horizon = Hours(hours);
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  int64_t seed_flag = 42;
+  if (!ReadInt(args, "seed", &seed_flag)) {
+    return Fail(BadNumber(args, "seed", "an integer"));
+  }
+  const uint64_t seed = static_cast<uint64_t>(seed_flag);
 
   workload::GangSizeDist gangs = workload::GangSizeDist::Typical();
   const std::string gang_mix = args.GetString("gangs", "typical");
@@ -312,9 +341,9 @@ int main(int argc, char** argv) {
       workload.users.push_back({user.name, user.tickets.raw(), user.group});
     }
   } else {
-    const double diurnal = args.GetDouble("diurnal", 0.0);
-    if (diurnal < 0.0 || diurnal >= 1.0) {
-      return Fail("--diurnal must be in [0, 1)");
+    double diurnal = 0.0;
+    if (!ReadDouble(args, "diurnal", &diurnal) || diurnal < 0.0 || diurnal >= 1.0) {
+      return Fail(BadNumber(args, "diurnal", "a number in [0, 1)"));
     }
     std::vector<workload::UserWorkloadSpec> specs;
     for (const std::string& spec : args.GetAll("user")) {
@@ -410,7 +439,14 @@ int main(int argc, char** argv) {
 
   // --- policy configuration ---
   sched::GandivaFairConfig sched_config;
-  sched_config.quantum = Seconds(args.GetDouble("quantum-s", 60.0));
+  // At least 1 ms once rounded to the simulator's clock, at most one day.
+  double quantum_s = 60.0;
+  if (!ReadDouble(args, "quantum-s", &quantum_s) || quantum_s <= 0.0 ||
+      quantum_s > ToSeconds(kDay) || Seconds(quantum_s) < kMillisecond) {
+    return Fail(BadNumber(args, "quantum-s",
+                          "a number of seconds from 0.001 to 86400 (rounded to the ms)"));
+  }
+  sched_config.quantum = Seconds(quantum_s);
   sched_config.enable_trading = !args.GetBool("no-trading");
   sched_config.enable_load_balancing = !args.GetBool("no-balancing");
   sched_config.enable_work_stealing = !args.GetBool("no-stealing");
@@ -428,15 +464,15 @@ int main(int argc, char** argv) {
   // --plan-shards / --plan-threads shard the quantum tick's plan phase
   // (see GandivaFairConfig: decisions are bit-identical for any values).
   // Validated here so a typo fails fast with the accepted range.
-  const int64_t plan_shards = args.GetInt("plan-shards", 1);
-  if (plan_shards < 1 || plan_shards > 65536) {
-    return Fail("--plan-shards must be an integer in [1, 65536], got " +
-                std::to_string(plan_shards));
+  int64_t plan_shards = 1;
+  if (!ReadInt(args, "plan-shards", &plan_shards) || plan_shards < 1 ||
+      plan_shards > 65536) {
+    return Fail(BadNumber(args, "plan-shards", "an integer in [1, 65536]"));
   }
-  const int64_t plan_threads = args.GetInt("plan-threads", 1);
-  if (plan_threads < 1 || plan_threads > 512) {
-    return Fail("--plan-threads must be an integer in [1, 512], got " +
-                std::to_string(plan_threads));
+  int64_t plan_threads = 1;
+  if (!ReadInt(args, "plan-threads", &plan_threads) || plan_threads < 1 ||
+      plan_threads > 512) {
+    return Fail(BadNumber(args, "plan-threads", "an integer in [1, 512]"));
   }
   sched_config.plan_shards = static_cast<int>(plan_shards);
   sched_config.plan_threads = static_cast<int>(plan_threads);

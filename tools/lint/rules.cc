@@ -610,11 +610,11 @@ const std::vector<std::string> kShardCrossStateTokens = {
     // no trailing underscore).
     "plan_", "delta_", "slice_begins_", "slice_scratch_", "decisions_",
     "trader_", "balancer_", "placement_", "checker_", "ledger_",
-    "ticket_matrix_", "pending_orphans_", "retry_", "planner_", "differ_",
+    "ticket_matrix_", "pending_orphans_", "retry_",
     // Serial-only calls: RNG draws, profiler feeding, migrations, applies,
     // decision recording, work conservation.
     "SampleObservedRate", "RecordSample", "EmitMigration", "ExecuteMigration",
-    "ApplyDelta", "ApplyDeltaParallel", "ApplyDeltaSlice", "RecordAppliedOps",
+    "ApplyDelta", "ApplyDeltaParallel", "RecordAppliedOps",
     "FillIdleGpus", "TrySteal", "ReplaceOrphan",
     // The serial-phase capability itself: minting (or naming) a ReduceToken
     // inside the fan-out would defeat the phase-token scheme at its root.
