@@ -297,12 +297,12 @@ void GandivaFairScheduler::QuantumTick() {
   // on the tick pool when plan_threads > 1, inline otherwise (plan_shards =
   // 1 is one shard spanning every server). Charging is obligatory on every
   // up server, skipped or not: stride passes must account the elapsed
-  // quantum. Every cell a shard touches — a stride's passes and heap, a
-  // job's info and charge clock, a server's plan-dirty byte — belongs to
-  // exactly one shard's servers, so the shards commute; the serial reduce
-  // then replays the deferred profiler draws and merges the shard streams in
-  // ascending server order, making the tick bit-identical for any shard or
-  // thread count.
+  // quantum. Every cell a shard touches — a stride's passes and sort
+  // scratch, a job's info and charge clock, a server's plan-dirty byte —
+  // belongs to exactly one shard's servers, so the shards commute; the
+  // serial reduce then replays the deferred profiler draws and merges the
+  // shard streams in ascending server order, making the tick bit-identical
+  // for any shard or thread count.
   plan_.Clear();
   delta_.Clear();
   slice_begins_.clear();

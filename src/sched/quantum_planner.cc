@@ -19,10 +19,7 @@ bool QuantumPlanner::PlanServerOrSkip(ServerId id, SchedulePlan* plan) const {
   if (!view_.plan_dirty(id) &&
       view_.server(id).num_busy() == stride.DemandLoad()) {
     // Provably unchanged (see header); only the virtual-time floor is due.
-    // Scan, not heap peek: after the quantum's charge every resident's heap
-    // key is stale, so fixing the heap costs a re-key per job while the
-    // entry array is one hot contiguous read.
-    plan->skipped_vt.emplace_back(id, stride.MinRunnablePassScan());
+    plan->skipped_vt.emplace_back(id, stride.MinRunnablePass());
     return false;
   }
   PlanServer(id, plan);

@@ -35,7 +35,7 @@
 //
 // A skipped server still owes its virtual-time advance (the floor at the
 // minimum runnable pass that selection used to apply); the planner reports
-// it in SchedulePlan::skipped_vt from a heap peek without planning.
+// it in SchedulePlan::skipped_vt from a scan of the entries without planning.
 #ifndef GFAIR_SCHED_QUANTUM_PLANNER_H_
 #define GFAIR_SCHED_QUANTUM_PLANNER_H_
 

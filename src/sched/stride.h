@@ -26,19 +26,12 @@
 //  * New jobs start at the scheduler's virtual time (the minimum pass of
 //    resident jobs) so they neither owe history nor get free credit.
 //
-// Selection order comes from an incrementally maintained min-heap keyed on
-// (pass, gang tie-break, id) instead of a per-quantum sort of every resident
-// job. The heap uses lazy re-keying: Charge only bumps the entry's pass (the
-// hot path touches no heap memory); a heap item whose stored pass no longer
-// matches is re-pushed with the current pass when it surfaces at the top.
-// Because passes only ever increase, a stored key is always a lower bound on
-// the true key, so the first top whose stored pass is current is the true
-// minimum — extraction order is bit-identical to sorting by the same
-// (pass, tie) total order, which is strict (ids are unique). Removal and
-// runnable toggles invalidate items by bumping a per-job generation stamp;
-// tombstones are dropped at pop time and the heap is rebuilt when they
-// outnumber live entries. Cost per quantum is O(k log n) for k charged +
-// selected jobs rather than O(n log n) for n residents.
+// Selection sorts the runnable entries by (pass, gang tie-break, id) and
+// walks them in that order. The order is strict (ids are unique), so the
+// result does not depend on the entries' container order. A server hosts
+// tens of jobs, so one sort of a few cache lines per planned quantum costs
+// less than any incrementally maintained order would cost its AddJob,
+// RemoveJob and Charge calls.
 //
 // Tickets are derived, not stored. Each entry holds its share (gang x
 // weight) and a pointer to a TicketRate — its user's published per-pool
@@ -128,7 +121,7 @@ class LocalStrideScheduler {
   void RemoveJob(JobId id);
 
   // Pins a job to exactly `tickets` from now on (owned rate, share 1).
-  // Tickets do not enter the selection key, so the heap needs no rebuild.
+  // Tickets do not enter the selection key.
   void SetTickets(JobId id, Tickets tickets);
 
   // A published rate read by resident entries changed: drop the cached
@@ -162,24 +155,20 @@ class LocalStrideScheduler {
   // --- quantum planning (pure) vs commit (state change) ---
   //
   // PlanQuantum computes the set of jobs that should hold GPUs for the next
-  // quantum without changing scheduler state: logically const (the lazy heap
-  // re-keying it performs is cache maintenance, not behavior). It also
-  // reports the minimum pass over runnable jobs (+inf when none), which the
-  // caller feeds back through AdvanceVirtualTime — the same virtual-time
-  // floor update the legacy combined call performed. Splitting the two is
-  // what lets a pure planner run over a read-only snapshot and commit later.
+  // quantum without changing scheduler state (it writes only its sort
+  // scratch). It also reports the minimum pass over runnable jobs (+inf when
+  // none), which the caller feeds back through AdvanceVirtualTime — the same
+  // virtual-time floor update the legacy combined call performed. Splitting
+  // the two is what lets a pure planner run over a read-only snapshot and
+  // commit later.
   //
   // `out` is overwritten, in selection order.
   void PlanQuantum(std::vector<JobId>* out, Pass* min_runnable_pass) const;
   // Floors the virtual time at `min_runnable_pass` (no-op for +inf).
   void AdvanceVirtualTime(Pass min_runnable_pass);
-  // Minimum pass over runnable residents, +inf when none. O(stale heap tops).
-  [[nodiscard]] Pass MinRunnablePass() const;
-  // Same value via one contiguous scan of the entries, leaving the heap
-  // alone. Cheaper than the heap peek exactly when most keys are stale —
-  // e.g. on a dirty-skip'd server, where every resident was just charged and
-  // the entry array is still cache-hot from the charge walk.
-  [[nodiscard]] Pass MinRunnablePassScan() const {
+  // Minimum pass over runnable residents, +inf when none: one contiguous
+  // scan of the entries.
+  [[nodiscard]] Pass MinRunnablePass() const {
     Pass min_pass = Pass::Infinity();
     for (const auto& [id, entry] : entries_) {
       if (entry.runnable && entry.pass < min_pass) {
@@ -195,16 +184,14 @@ class LocalStrideScheduler {
   // instance overwrites — copy it to hold across calls.
   [[nodiscard]] const std::vector<JobId>& SelectForQuantum();
 
-  // Charges `ms` of wall time on the job's whole gang. Touches no heap
-  // memory — the stale key is lazily re-pushed at the next selection.
+  // Charges `ms` of wall time on the job's whole gang.
   void Charge(JobId id, SimDuration ms) {
     auto it = FindEntry(id);
     GFAIR_CHECK_MSG(it != entries_.end(), "Charge on unknown job");
     ChargeAt(static_cast<uint32_t>(it - entries_.begin()), ms);
   }
   // Charge for the entry at `pos`, a position from ResidentPositions():
-  // the per-quantum charge walk's entry point, which spares the id lookup
-  // (index_of_ is indexed by job id, so each lookup is a scattered load).
+  // the per-quantum charge walk's entry point, which spares the id lookup.
   void ChargeAt(uint32_t pos, SimDuration ms) {
     GFAIR_CHECK(ms >= 0);
     GFAIR_DCHECK(pos < entries_.size());
@@ -249,53 +236,31 @@ class LocalStrideScheduler {
   };
   using EntryList = std::vector<std::pair<JobId, Entry>>;
 
-  // One selection-heap item. `tie` packs the (gang, id) tie-break into one
-  // integer — gang key in the high half (inverted when big_job_first so
-  // bigger gangs order first), id in the low half — so the heap comparator
-  // is two flat compares instead of a three-level branch chain. `gen` stamps
-  // the item against heap_gen_: a mismatch marks a tombstone (job removed or
-  // runnable-toggled since the push).
-  struct HeapItem {
-    Pass pass;
-    uint64_t tie;
-    uint32_t gen;
-  };
-  // "a comes after b" in the min-(pass, tie) order. A functor, not a free
-  // function: the sift loops run a few million times per simulated hour and a
-  // function-pointer comparator would block inlining the two compares.
-  struct HeapItemAfter {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      if (a.pass != b.pass) {
-        return a.pass > b.pass;
-      }
-      return a.tie > b.tie;
-    }
-  };
-
-  // O(1) via index_of_; Charge/SetRunnable/SetTickets run per job per
-  // quantum, so lookups must not scan.
+  // Linear: a server hosts tens of jobs (see file comment).
   EntryList::iterator FindEntry(JobId id) {
-    if (id.valid() && id.value() < index_of_.size() && index_of_[id.value()] != 0) {
-      return entries_.begin() + (index_of_[id.value()] - 1);
-    }
-    return entries_.end();
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [id](const auto& e) { return e.first == id; });
   }
   EntryList::const_iterator FindEntry(JobId id) const {
-    if (id.valid() && id.value() < index_of_.size() && index_of_[id.value()] != 0) {
-      return entries_.begin() + (index_of_[id.value()] - 1);
-    }
-    return entries_.end();
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [id](const auto& e) { return e.first == id; });
   }
 
   const Entry& GetEntry(JobId id) const;
-  void UpdateVirtualTime();
   // A membership or ticket mutation changed the aggregates.
   void InvalidateAggregates(bool membership_changed);
   void RecomputeTicketLoad() const;
   // The owned rate backing an explicit-ticket entry, set to {tickets, 1}.
   const TicketRate* OwnRate(JobId id, Tickets tickets);
 
-  // --- selection heap (see file comment) ---
+  // One selection candidate. `tie` packs the (gang, id) tie-break into one
+  // integer — gang key in the high half (inverted when big_job_first so
+  // bigger gangs order first), id in the low half — so the sort comparator
+  // is two flat compares instead of a three-level branch chain.
+  struct Candidate {
+    Pass pass;
+    uint64_t tie;
+  };
   uint64_t TieOf(JobId id, int gang_size) const {
     const uint64_t gang_key =
         config_.big_job_first
@@ -303,47 +268,13 @@ class LocalStrideScheduler {
             : static_cast<uint64_t>(static_cast<uint32_t>(gang_size));
     return (gang_key << 32) | id.value();
   }
-  // Hand-rolled sift primitives (std::push_heap/pop_heap cannot express the
-  // one-sided re-key FixHeapTop needs: a grown root key only ever sifts down).
-  void HeapSiftUp(size_t pos) const;
-  void HeapSiftDown(size_t pos) const;
-  // Removes the top item (replace with last, sift down).
-  void HeapPopTop() const;
-  // Pushes a live heap item for `id` with its current pass. The caller must
-  // have bumped heap_gen_[id] if the previous item has to die.
-  void HeapPushJob(JobId id, const Entry& entry) const;
-  // Invalidates any live heap item for `id` (tombstone).
-  void HeapInvalidate(JobId id) {
-    heap_gen_[id.value()] += 1;
-    MaybeCompactHeap();
-  }
-  // Drops tombstones and re-keys stale items until the top is live and
-  // current (the true minimum), or the heap is empty. Logically const.
-  void FixHeapTop() const;
-  // Small-n selection: sort the runnable entries outright (see
-  // kSortSelectMaxJobs in stride.cc); leaves the heap untouched.
-  void SelectBySort(std::vector<JobId>* out, Pass* min_runnable_pass) const;
-  void MaybeCompactHeap() const;
-  void RebuildHeap() const;
 
   int num_gpus_;
   StrideConfig config_;
   EntryList entries_;
-  // Dense job-id → position+1 in entries_ (0 = absent); sized by the largest
-  // job id ever resident here. Kept in sync by AddJob/RemoveJob.
-  std::vector<uint32_t> index_of_;
-  // Dense job-id → generation stamp for heap items (see HeapItem::gen).
-  std::vector<uint32_t> heap_gen_;
   // Monotone floor for newcomer passes; tracks min runnable pass.
   Pass virtual_time_;
-
-  // Min-heap over live runnable entries, ordered by (pass, tie). Invariant:
-  // every runnable entry has exactly one live item (gen matches); its stored
-  // pass is a lower bound on the entry's current pass. Mutable: re-keying
-  // and tombstone removal are cache maintenance performed inside const
-  // planning.
-  mutable std::vector<HeapItem> heap_;
-  mutable std::vector<HeapItem> popped_scratch_;  // PlanQuantum re-push buffer
+  mutable std::vector<Candidate> candidates_scratch_;  // PlanQuantum's sort
 
   // Rates of explicit-ticket entries, owned here on the entry's behalf and
   // erased with it. Node-based, so entry pointers survive rehashing; never

@@ -1,5 +1,6 @@
 #include "workload/trace_io.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -7,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "cluster/gpu.h"
 #include "common/check.h"
 #include "common/flags.h"
 
@@ -14,6 +16,9 @@ namespace gfair::workload {
 
 namespace {
 constexpr char kHeader[] = "arrival_ms,user,model,gang_size,minibatches,weight";
+// The longest run a row may ask for, 10^8 h: the executor times a run in
+// int64 milliseconds, and 10^8 h is ~3.6e17 ms, well inside that range.
+constexpr double kMaxRunSeconds = 1e8 * 3600.0;
 
 bool ParsePositiveDouble(const std::string& text, double* out) {
   char* end = nullptr;
@@ -124,8 +129,9 @@ bool ParseTrace(const std::string& csv, const ModelZoo& zoo, UserTable* users,
     TraceEntry& entry = file_entry.entry;
 
     char* end = nullptr;
+    errno = 0;  // strtoll clamps an out-of-range value and reports ERANGE
     const long long arrival = std::strtoll(fields[0].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || arrival < 0) {
+    if (end == nullptr || *end != '\0' || errno == ERANGE || arrival < 0) {
       return fail("bad arrival_ms '" + fields[0] + "'");
     }
     entry.arrival = arrival;
@@ -158,6 +164,14 @@ bool ParseTrace(const std::string& csv, const ModelZoo& zoo, UserTable* users,
 
     if (!ParsePositiveDouble(fields[4], &entry.total_minibatches)) {
       return fail("bad minibatches '" + fields[4] + "'");
+    }
+    // The K80 is the slowest generation (the zoo refuses a newer, slower
+    // one), so this bounds the row's run time anywhere in the cluster.
+    const double k80_seconds =
+        entry.total_minibatches /
+        zoo.Get(entry.model).GangThroughput(cluster::GpuGeneration::kK80, entry.gang_size);
+    if (k80_seconds > kMaxRunSeconds) {
+      return fail("minibatches '" + fields[4] + "' run longer than 1e8 h on a K80");
     }
     if (fields.size() == 6 && !ParsePositiveDouble(fields[5], &file_entry.weight)) {
       return fail("bad weight '" + fields[5] + "'");

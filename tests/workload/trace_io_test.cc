@@ -100,6 +100,19 @@ TEST(TraceIoTest, ErrorsCarryLineNumbers) {
                           zoo, &users, &parsed, &error));
   EXPECT_NE(error.find("minibatches"), std::string::npos);
 
+  // Out of int64 range: strtoll would clamp it to LLONG_MAX.
+  EXPECT_FALSE(ParseTrace(
+      "arrival_ms,user,model,gang_size,minibatches\n99999999999999999999,a,VAE,1,10\n", zoo,
+      &users, &parsed, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos);
+  EXPECT_NE(error.find("arrival"), std::string::npos);
+
+  // Finite, but its run time in milliseconds overflows int64.
+  EXPECT_FALSE(ParseTrace("arrival_ms,user,model,gang_size,minibatches\n0,a,VAE,1,1e300\n",
+                          zoo, &users, &parsed, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos);
+  EXPECT_NE(error.find("minibatches"), std::string::npos);
+
   EXPECT_FALSE(ParseTrace("bad,header\n", zoo, &users, &parsed, &error));
   EXPECT_NE(error.find("header"), std::string::npos);
 

@@ -39,6 +39,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -162,6 +163,16 @@ std::optional<analysis::Policy> ParsePolicy(const std::string& name) {
   return std::nullopt;
 }
 
+// One numeric --user spec field: the whole text must parse, finitely.
+std::optional<double> ParseSpecNumber(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 // "name:tickets:interarrival_min:duration_h[:model=w;model=w]"
 std::optional<workload::UserWorkloadSpec> ParseUserSpec(const std::string& spec,
                                                         SimTime horizon) {
@@ -169,28 +180,35 @@ std::optional<workload::UserWorkloadSpec> ParseUserSpec(const std::string& spec,
   if (parts.size() < 4 || parts.size() > 5 || parts[0].empty()) {
     return std::nullopt;
   }
-  workload::UserWorkloadSpec user;
-  user.name = parts[0];
-  user.tickets = std::atof(parts[1].c_str());
-  const double interarrival_min = std::atof(parts[2].c_str());
-  const double duration_h = std::atof(parts[3].c_str());
-  if (user.tickets <= 0 || interarrival_min <= 0 || duration_h <= 0) {
+  const auto tickets = ParseSpecNumber(parts[1]);
+  const auto interarrival_min = ParseSpecNumber(parts[2]);
+  const auto duration_h = ParseSpecNumber(parts[3]);
+  // Both means must round to at least 1 ms, and the generator's 10x-mean
+  // duration clamp must stay far inside int64 milliseconds. The upper
+  // bounds are tested first, so the ms conversion never overflows.
+  if (!tickets || !interarrival_min || !duration_h || *tickets <= 0 ||
+      !(*interarrival_min > 0 && *interarrival_min <= 1e6) ||
+      Minutes(*interarrival_min) < 1 || !(*duration_h > 0 && *duration_h <= 1e6) ||
+      Hours(*duration_h) < 1) {
     return std::nullopt;
   }
-  user.mean_interarrival = Minutes(interarrival_min);
-  user.mean_duration_k80 = Hours(duration_h);
+  workload::UserWorkloadSpec user;
+  user.name = parts[0];
+  user.tickets = *tickets;
+  user.mean_interarrival = Minutes(*interarrival_min);
+  user.mean_duration_k80 = Hours(*duration_h);
   user.stop = horizon;
   if (parts.size() == 5 && !parts[4].empty()) {
     for (const std::string& model_weight : SplitAndTrim(parts[4], ';')) {
       const auto kv = SplitAndTrim(model_weight, '=');
-      if (kv.empty() || kv[0].empty()) {
+      if (kv.empty() || kv.size() > 2 || kv[0].empty()) {
         return std::nullopt;
       }
-      const double weight = kv.size() > 1 ? std::atof(kv[1].c_str()) : 1.0;
-      if (weight <= 0 || !workload::ModelZoo::Default().Contains(kv[0])) {
+      const std::optional<double> weight = kv.size() > 1 ? ParseSpecNumber(kv[1]) : 1.0;
+      if (!weight || *weight <= 0 || !workload::ModelZoo::Default().Contains(kv[0])) {
         return std::nullopt;
       }
-      user.model_mix.push_back({kv[0], weight});
+      user.model_mix.push_back({kv[0], *weight});
     }
   }
   return user;
