@@ -3,8 +3,6 @@
 #include <cctype>
 #include <cstdlib>
 
-#include "common/check.h"
-
 namespace gfair {
 
 namespace {
@@ -105,24 +103,6 @@ bool ArgParser::TryGetInt(const std::string& name, int64_t* out) const {
   }
   *out = value;
   return true;
-}
-
-double ArgParser::GetDouble(const std::string& name, double fallback) const {
-  if (!Has(name)) {
-    return fallback;
-  }
-  double value = 0.0;
-  GFAIR_CHECK_MSG(TryGetDouble(name, &value), "flag is not a number");
-  return value;
-}
-
-int64_t ArgParser::GetInt(const std::string& name, int64_t fallback) const {
-  if (!Has(name)) {
-    return fallback;
-  }
-  int64_t value = 0;
-  GFAIR_CHECK_MSG(TryGetInt(name, &value), "flag is not an integer");
-  return value;
 }
 
 bool ArgParser::GetBool(const std::string& name, bool fallback) const {

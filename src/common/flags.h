@@ -19,13 +19,11 @@ class ArgParser {
 
   bool Has(const std::string& name) const;
 
-  // Typed getters with defaults. GetDouble/GetInt CHECK-fail on values that
-  // do not parse — tools should validate with TryGet* when input is hostile.
   std::string GetString(const std::string& name, const std::string& fallback = "") const;
-  double GetDouble(const std::string& name, double fallback) const;
-  int64_t GetInt(const std::string& name, int64_t fallback) const;
   bool GetBool(const std::string& name, bool fallback = false) const;
 
+  // Numeric getters: false when the flag is absent or its whole value does
+  // not parse, leaving `*out` untouched.
   bool TryGetDouble(const std::string& name, double* out) const;
   bool TryGetInt(const std::string& name, int64_t* out) const;
 

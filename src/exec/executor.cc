@@ -87,17 +87,6 @@ void Executor::MakeResident(JobId id, ServerId server) {
   job.state = JobState::kSuspended;
 }
 
-void Executor::EvictResident(JobId id) {
-  Job& job = jobs_.Get(id);
-  GFAIR_CHECK(job.state == JobState::kSuspended);
-  // Exact by construction: a never-run job's progress is the literal 0.0 it
-  // was initialized with (no accumulation has happened yet).
-  GFAIR_CHECK_MSG(job.completed_minibatches == 0.0,  // gfair-lint: allow(float-eq)
-                  "cannot evict a job with progress; use Migrate");
-  job.server = ServerId::Invalid();
-  job.state = JobState::kQueued;
-}
-
 double Executor::TrueRate(JobId id, GpuGeneration gen) const {
   const Job& job = jobs_.Get(id);
   return zoo_.Get(job.model).GangThroughput(gen, job.gang_size);

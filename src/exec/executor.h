@@ -2,9 +2,10 @@
 //
 // Stands in for the Gandiva-style per-server runtime the paper relies on:
 // suspend/resume of framework processes and checkpoint-based migration
-// between servers. The scheduler calls the five verbs below; the executor
-// charges simulated time, tracks job progress at the model's per-generation
-// throughput, fires completion callbacks, and accounts GPU time to users.
+// between servers. The scheduler calls the four verbs below (MakeResident,
+// Resume, Suspend, Migrate); the executor charges simulated time, tracks job
+// progress at the model's per-generation throughput, fires completion
+// callbacks, and accounts GPU time to users.
 //
 // Accounting (DESIGN.md, "Quantum pipeline"): GPU time is credited
 // per (user, pool) at sync points, not per job. A sync point is an instant
@@ -219,11 +220,6 @@ class Executor {
   // queued -> suspended: the job becomes resident on `server` (no cost; the
   // container/image is assumed pre-staged, as in the paper's clusters).
   void MakeResident(JobId id, ServerId server);
-
-  // suspended -> queued: detach a never-started or suspended job from its
-  // server without migration cost is NOT allowed once it has progress; use
-  // Migrate. Eviction is only for jobs with zero progress (placement undo).
-  void EvictResident(JobId id);
 
   // suspended -> running: allocates the gang and starts progress after the
   // resume latency. Precondition: the server has gang_size free GPUs.
@@ -466,7 +462,7 @@ class Executor {
   const ModelCosts& CostsFor(workload::ModelId model);
 
   // The job's finish timer slot (created at first resume; see
-  // EventQueue timers — arming/disarming replaces the push/cancel pair).
+  // EventQueue timers): armed at each resume, disarmed at each suspend.
   simkit::TimerId FinishTimerFor(JobId id);
 
   // Shared resume body: `overlap_allowance` is the largest suspend latency

@@ -26,7 +26,7 @@ void LocalStrideScheduler::AddJob(JobId id, int gang_size, double share,
   GFAIR_CHECK_MSG(gang_size >= 1 && gang_size <= num_gpus_, "gang cannot fit this server");
   GFAIR_CHECK(rate != nullptr && share > 0.0 && rate->pool_tickets > 0.0);
   GFAIR_CHECK_MSG(FindEntry(id) == entries_.end(), "job already resident");
-  entries_.emplace_back(id, Entry{gang_size, true, share, rate, virtual_time_});
+  entries_.emplace_back(id, Entry{gang_size, share, rate, virtual_time_});
   demand_load_ += gang_size;
   InvalidateAggregates(/*membership_changed=*/true);
 }
@@ -45,9 +45,7 @@ const TicketRate* LocalStrideScheduler::OwnRate(JobId id, Tickets tickets) {
 void LocalStrideScheduler::RemoveJob(JobId id) {
   auto it = FindEntry(id);
   GFAIR_CHECK_MSG(it != entries_.end(), "RemoveJob on unknown job");
-  if (it->second.runnable) {
-    demand_load_ -= it->second.gang_size;
-  }
+  demand_load_ -= it->second.gang_size;
   if (!owned_rates_.empty()) {
     owned_rates_.erase(id);
   }
@@ -65,22 +63,6 @@ void LocalStrideScheduler::SetTickets(JobId id, Tickets tickets) {
   InvalidateAggregates(/*membership_changed=*/false);
 }
 
-void LocalStrideScheduler::SetRunnable(JobId id, bool runnable) {
-  auto it = FindEntry(id);
-  GFAIR_CHECK(it != entries_.end());
-  const bool was_runnable = it->second.runnable;
-  if (was_runnable != runnable) {
-    demand_load_ += (runnable ? 1 : -1) * it->second.gang_size;
-    InvalidateAggregates(/*membership_changed=*/false);
-  }
-  it->second.runnable = runnable;
-  if (runnable) {
-    // Re-entering jobs (e.g. back from a probe) must not have fallen behind
-    // the pack — that would give them a monopolizing credit.
-    it->second.pass = std::max(it->second.pass, virtual_time_);
-  }
-}
-
 const LocalStrideScheduler::Entry& LocalStrideScheduler::GetEntry(JobId id) const {
   auto it = FindEntry(id);
   GFAIR_CHECK_MSG(it != entries_.end(), "unknown job");
@@ -90,14 +72,11 @@ const LocalStrideScheduler::Entry& LocalStrideScheduler::GetEntry(JobId id) cons
 Pass LocalStrideScheduler::PassOf(JobId id) const { return GetEntry(id).pass; }
 int LocalStrideScheduler::GangOf(JobId id) const { return GetEntry(id).gang_size; }
 Tickets LocalStrideScheduler::TicketsOf(JobId id) const { return GetEntry(id).tickets(); }
-bool LocalStrideScheduler::RunnableOf(JobId id) const { return GetEntry(id).runnable; }
 
 Tickets LocalStrideScheduler::FreshTicketLoad() const {
   Tickets total = 0.0;
   for (const auto& [id, entry] : entries_) {
-    if (entry.runnable) {
-      total += entry.tickets();
-    }
+    total += entry.tickets();
   }
   return total;
 }
@@ -111,9 +90,7 @@ int LocalStrideScheduler::DemandLoad() const {
 #ifndef NDEBUG
   int total = 0;
   for (const auto& [id, entry] : entries_) {
-    if (entry.runnable) {
-      total += entry.gang_size;
-    }
+    total += entry.gang_size;
   }
   GFAIR_DCHECK_MSG(total == demand_load_,
                    "incremental demand-load sum drifted from full recompute");
@@ -155,9 +132,7 @@ void LocalStrideScheduler::PlanQuantum(std::vector<JobId>* out,
   out->clear();
   candidates_scratch_.clear();
   for (const auto& [id, entry] : entries_) {
-    if (entry.runnable) {
-      candidates_scratch_.push_back(Candidate{entry.pass, TieOf(id, entry.gang_size)});
-    }
+    candidates_scratch_.push_back(Candidate{entry.pass, TieOf(id, entry.gang_size)});
   }
   std::sort(candidates_scratch_.begin(), candidates_scratch_.end(),
             [](const Candidate& a, const Candidate& b) {

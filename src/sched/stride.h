@@ -26,12 +26,12 @@
 //  * New jobs start at the scheduler's virtual time (the minimum pass of
 //    resident jobs) so they neither owe history nor get free credit.
 //
-// Selection sorts the runnable entries by (pass, gang tie-break, id) and
-// walks them in that order. The order is strict (ids are unique), so the
-// result does not depend on the entries' container order. A server hosts
-// tens of jobs, so one sort of a few cache lines per planned quantum costs
-// less than any incrementally maintained order would cost its AddJob,
-// RemoveJob and Charge calls.
+// Selection sorts the entries by (pass, gang tie-break, id) and walks them
+// in that order. The order is strict (ids are unique), so the result does
+// not depend on the entries' container order. A server hosts tens of jobs,
+// so one sort of a few cache lines per planned quantum costs less than any
+// incrementally maintained order would cost its AddJob, RemoveJob and Charge
+// calls.
 //
 // Tickets are derived, not stored. Each entry holds its share (gang x
 // weight) and a pointer to a TicketRate — its user's published per-pool
@@ -128,16 +128,13 @@ class LocalStrideScheduler {
   // ticket load. O(1); nothing else depends on tickets.
   void InvalidateTicketLoad() { ticket_load_dirty_ = true; }
 
-  // Marks a job (not) selectable without unregistering it.
-  void SetRunnable(JobId id, bool runnable);
-
   bool Contains(JobId id) const { return FindEntry(id) != entries_.end(); }
   size_t num_jobs() const { return entries_.size(); }
   int num_gpus() const { return num_gpus_; }
 
-  // Sum of tickets over resident runnable jobs — the server's "ticket load"
-  // used by placement and the load balancer. O(1) amortized (cached; see
-  // file comment). Inline: read once per charged job per quantum.
+  // Sum of tickets over resident jobs — the server's "ticket load" used by
+  // placement and the load balancer. O(1) amortized (cached; see file
+  // comment). Inline: read once per charged job per quantum.
   Tickets TicketLoad() const {
     if (ticket_load_dirty_) {
       RecomputeTicketLoad();
@@ -148,15 +145,15 @@ class LocalStrideScheduler {
   // TicketLoad() must equal bit for bit (the ticket-derivation invariant).
   [[nodiscard]] Tickets FreshTicketLoad() const;
 
-  // Total GPUs demanded by resident runnable jobs. O(1) (maintained
-  // incrementally; integer arithmetic, so exact).
+  // Total GPUs demanded by resident jobs. O(1) (maintained incrementally;
+  // integer arithmetic, so exact).
   int DemandLoad() const;
 
   // --- quantum planning (pure) vs commit (state change) ---
   //
   // PlanQuantum computes the set of jobs that should hold GPUs for the next
   // quantum without changing scheduler state (it writes only its sort
-  // scratch). It also reports the minimum pass over runnable jobs (+inf when
+  // scratch). It also reports the minimum pass over resident jobs (+inf when
   // none), which the caller feeds back through AdvanceVirtualTime — the same
   // virtual-time floor update the legacy combined call performed. Splitting
   // the two is what lets a pure planner run over a read-only snapshot and
@@ -166,14 +163,12 @@ class LocalStrideScheduler {
   void PlanQuantum(std::vector<JobId>* out, Pass* min_runnable_pass) const;
   // Floors the virtual time at `min_runnable_pass` (no-op for +inf).
   void AdvanceVirtualTime(Pass min_runnable_pass);
-  // Minimum pass over runnable residents, +inf when none: one contiguous
-  // scan of the entries.
+  // Minimum pass over residents, +inf when none: one contiguous scan of the
+  // entries.
   [[nodiscard]] Pass MinRunnablePass() const {
     Pass min_pass = Pass::Infinity();
     for (const auto& [id, entry] : entries_) {
-      if (entry.runnable && entry.pass < min_pass) {
-        min_pass = entry.pass;
-      }
+      min_pass = std::min(min_pass, entry.pass);
     }
     return min_pass;
   }
@@ -211,9 +206,6 @@ class LocalStrideScheduler {
   Pass PassOf(JobId id) const;
   int GangOf(JobId id) const;
   Tickets TicketsOf(JobId id) const;
-  // Whether the job is currently selectable (see SetRunnable). Precondition:
-  // resident here.
-  bool RunnableOf(JobId id) const;
   Pass VirtualTime() const { return virtual_time_; }
 
   // Resident jobs sorted by id. Returns a reference to a cached vector that
@@ -227,7 +219,6 @@ class LocalStrideScheduler {
  private:
   struct Entry {
     int gang_size;
-    bool runnable;
     double share;             // gang x weight (1 for explicit tickets)
     const TicketRate* rate;   // published pool rate, or owned_rates_[id]
     Pass pass;
@@ -286,7 +277,7 @@ class LocalStrideScheduler {
   // value matches an uncached recompute bit-for-bit.
   mutable Tickets ticket_load_cache_;
   mutable bool ticket_load_dirty_ = false;  // empty scheduler sums to 0
-  // Runnable demand is a sum of small ints — incremental updates are exact.
+  // Demand is a sum of small ints — incremental updates are exact.
   int demand_load_ = 0;
   mutable std::vector<JobId> resident_cache_;
   mutable bool resident_dirty_ = false;

@@ -5,145 +5,31 @@
 
 namespace gfair::simkit {
 
-void EventQueue::CallbackTable::Insert(EventId id, EventCallback callback) {
-  size_t mask;
-  if (slots_.empty() || (size_ + 1) * 2 > slots_.size()) {
-    mask = Grow();
-  } else {
-    mask = slots_.size() - 1;
-  }
-  size_t pos = Home(id, mask);
-  while (slots_[pos].id != 0) {
-    pos = (pos + 1) & mask;
-  }
-  slots_[pos].id = id;
-  slots_[pos].callback = std::move(callback);
-  ++size_;
-}
-
-size_t EventQueue::CallbackTable::Grow() {
-  const size_t new_cap = slots_.empty() ? 64 : slots_.size() * 2;
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(new_cap, Slot{});
-  const size_t mask = new_cap - 1;
-  for (Slot& slot : old) {
-    if (slot.id != 0) {
-      size_t pos = Home(slot.id, mask);
-      while (slots_[pos].id != 0) {
-        pos = (pos + 1) & mask;
-      }
-      slots_[pos].id = slot.id;
-      slots_[pos].callback = std::move(slot.callback);
-    }
-  }
-  return mask;
-}
-
-size_t EventQueue::CallbackTable::FindSlot(EventId id) const {
-  if (slots_.empty()) {
-    return kNpos;
-  }
-  const size_t mask = slots_.size() - 1;
-  size_t pos = Home(id, mask);
-  while (slots_[pos].id != 0) {
-    if (slots_[pos].id == id) {
-      return pos;
-    }
-    pos = (pos + 1) & mask;
-  }
-  return kNpos;
-}
-
-void EventQueue::CallbackTable::EraseSlot(size_t pos) {
-  const size_t mask = slots_.size() - 1;
-  size_t hole = pos;
-  size_t next = (hole + 1) & mask;
-  // Backward-shift: pull each following cluster member whose probe path
-  // crosses the hole, so lookups stay tombstone-free.
-  while (slots_[next].id != 0) {
-    const size_t home = Home(slots_[next].id, mask);
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      slots_[hole].id = slots_[next].id;
-      slots_[hole].callback = std::move(slots_[next].callback);
-      hole = next;
-    }
-    next = (next + 1) & mask;
-  }
-  slots_[hole].id = 0;
-  slots_[hole].callback = nullptr;
-  --size_;
-}
-
-EventCallback EventQueue::CallbackTable::Take(EventId id) {
-  const size_t pos = FindSlot(id);
-  GFAIR_CHECK_MSG(pos != kNpos, "Take() of absent event");
-  EventCallback callback = std::move(slots_[pos].callback);
-  EraseSlot(pos);
-  return callback;
-}
-
-bool EventQueue::CallbackTable::Erase(EventId id) {
-  const size_t pos = FindSlot(id);
-  if (pos == kNpos) {
-    return false;
-  }
-  EraseSlot(pos);
-  return true;
-}
-
-bool EventQueue::CallbackTable::Contains(EventId id) const {
-  return FindSlot(id) != kNpos;
-}
-
-EventId EventQueue::Push(SimTime when, EventCallback callback) {
+void EventQueue::Push(SimTime when, EventCallback callback) {
   GFAIR_CHECK(callback != nullptr);
-  const EventId id = next_id_++;
-  Enqueue(Entry{when, id, kInvalidTimer});
-  callbacks_.Insert(id, std::move(callback));
-  ++live_count_;
-  return id;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].callback = std::move(callback);
+  Arm(slot, when);
 }
-
 
 TimerId EventQueue::CreateTimer(EventCallback callback) {
   GFAIR_CHECK(callback != nullptr);
-  const TimerId timer = static_cast<TimerId>(timers_.size());
-  timers_.push_back(TimerSlot{std::move(callback), 0});
+  const TimerId timer = static_cast<TimerId>(slots_.size());
+  slots_.push_back(Slot{std::move(callback), 0, kNoFarIndex, /*timer=*/true});
   return timer;
 }
 
-bool EventQueue::Cancel(EventId id) {
-  if (!callbacks_.Erase(id)) {
-    return false;
-  }
-  --live_count_;
-  // ~5:1 tombstone slack: a lower ratio (e.g. 1:1) makes steady cancel
-  // workloads recompact every couple of quanta, and the O(n) passes start
-  // to show up in tick profiles; memory stays bounded by the live count.
-  if (heap_.size() + far_.size() > 6 * live_count_ + 64) {
-    Compact();
-  }
-  return true;
-}
-
 void EventQueue::Compact() {
+  // The far band needs no pass: it holds only live entries.
   std::erase_if(heap_, [this](const Entry& entry) { return !IsLive(entry); });
   std::make_heap(heap_.begin(), heap_.end(), std::greater<Entry>());
-  // The far band filters without heap repair — the cheapness of compacting
-  // an unsorted band is most of its point. Timer entries are always live
-  // here (disarm splices them out immediately), so filtering only drops
-  // cancelled one-shot events; surviving timer entries get their slots'
-  // far_index re-pointed at their new positions.
-  std::erase_if(far_, [this](const Entry& entry) { return !IsLive(entry); });
-  far_min_ = kTimeNever;
-  for (size_t i = 0; i < far_.size(); ++i) {
-    if (far_[i].timer != kInvalidTimer) {
-      timers_[far_[i].timer].far_index = static_cast<uint32_t>(i);
-    }
-    if (far_[i].time < far_min_) {
-      far_min_ = far_[i].time;
-    }
-  }
 }
 
 void EventQueue::MaybeDrainFar() const {
@@ -154,19 +40,16 @@ void EventQueue::MaybeDrainFar() const {
     return;
   }
   for (const Entry& entry : far_) {
-    if (entry.timer != kInvalidTimer) {
-      timers_[entry.timer].far_index = kNoFarIndex;
-    }
-    if (IsLive(entry)) {
-      heap_.push_back(entry);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>());
-    }
+    GFAIR_DCHECK(IsLive(entry));
+    slots_[entry.slot].far_index = kNoFarIndex;
+    heap_.push_back(entry);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>());
   }
   far_.clear();
   far_min_ = kTimeNever;
 }
 
-void EventQueue::DropCancelledHead() const {
+void EventQueue::DropDisarmedHead() const {
   while (!heap_.empty() && !IsLive(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>());
     heap_.pop_back();
@@ -174,7 +57,7 @@ void EventQueue::DropCancelledHead() const {
 }
 
 SimTime EventQueue::NextTime() const {
-  DropCancelledHead();
+  DropDisarmedHead();
   MaybeDrainFar();
   if (heap_.empty()) {
     return kTimeNever;
@@ -183,7 +66,7 @@ SimTime EventQueue::NextTime() const {
 }
 
 EventQueue::PoppedEvent EventQueue::Pop() {
-  DropCancelledHead();
+  DropDisarmedHead();
   MaybeDrainFar();
   GFAIR_CHECK_MSG(!heap_.empty(), "Pop() on empty EventQueue");
   const Entry entry = heap_.front();
@@ -191,14 +74,17 @@ EventQueue::PoppedEvent EventQueue::Pop() {
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>());
   heap_.pop_back();
   --live_count_;
-  if (entry.timer != kInvalidTimer) {
-    // Firing consumes the arm (the slot is free to re-arm, even from inside
-    // the callback); the slot keeps the callback, so hand out a copy.
-    TimerSlot& slot = timers_[entry.timer];
-    slot.armed_id = 0;
-    return PoppedEvent{entry.time, entry.id, slot.callback};
+  // Firing consumes the arm (a timer is free to re-arm, even from inside its
+  // callback).
+  Slot& slot = slots_[entry.slot];
+  slot.armed_id = 0;
+  if (slot.timer) {
+    // The timer keeps its callback, so hand out a copy.
+    return PoppedEvent{entry.time, slot.callback};
   }
-  return PoppedEvent{entry.time, entry.id, callbacks_.Take(entry.id)};
+  // A Push returns its slot, and the callback's captures leave with it.
+  free_slots_.push_back(entry.slot);
+  return PoppedEvent{entry.time, std::exchange(slot.callback, nullptr)};
 }
 
 }  // namespace gfair::simkit

@@ -2,25 +2,25 @@
 //
 // Events are (time, sequence, callback). Sequence numbers break ties so that
 // two events scheduled for the same instant fire in scheduling order, which
-// keeps runs deterministic. Cancellation is lazy: a cancelled event stays in
-// the heap and is skipped on pop — but when tombstones outnumber live events
-// ~5:1 the heap is compacted in one O(n) pass, so workloads that cancel far-future
-// events at a steady rate (every suspend cancels the job's completion event)
-// keep the heap proportional to the live event count instead of growing
-// without bound. Compaction never changes pop order: the heap's (time, id)
-// key is a strict total order.
+// keeps runs deterministic.
 //
-// Timers are the cheap path for the arm/disarm churn above: a timer is a
-// permanent slot holding its callback, created once, then re-armed with a
-// fresh (time, id) heap entry each cycle. Arming draws ids from the same
-// counter as Push, so the relative fire order of timers and one-shot events
-// is exactly what the equivalent Push sequence would produce — swapping one
-// for the other is invisible to the simulation. What changes is the cost:
-// arm is a heap push plus one slot store, disarm is one slot store, and the
-// liveness probe (pop, compaction) is an array compare instead of a hash
-// lookup. The executor's per-job completion events — pushed and cancelled
-// once per suspend/resume cycle, thousands per full-churn quantum — are the
-// workload this exists for.
+// Every queued entry refers to one slot, which holds its callback and the id
+// of the entry that will fire it. A one-shot Push borrows a free slot and
+// returns it when the event fires. A timer owns its slot permanently: it is
+// created once, then re-armed with a fresh (time, id) entry each cycle.
+// Arming draws ids from the same counter as Push, so the relative fire order
+// of timers and one-shot events is exactly what the equivalent Push sequence
+// would produce. An entry is live while its slot's armed id still equals its
+// own id: one array compare, whatever the entry's kind. The executor's
+// per-job completion events — armed and disarmed once per suspend/resume
+// cycle, thousands per full-churn quantum — are the workload timers exist
+// for: arm is a heap push plus one slot store, disarm is one slot store.
+//
+// Disarm is lazy: a disarmed heap entry stays in the heap as a tombstone and
+// is skipped on pop, but when tombstones outnumber live entries ~5:1 the
+// heap is compacted in one O(n) pass, so steady arm/disarm churn keeps the
+// heap proportional to the live event count. Compaction never changes pop
+// order: the heap's (time, id) key is a strict total order.
 //
 // Far band: entries scheduled more than an hour of simulated time ahead of
 // the last fired event bypass the heap into an unsorted overflow vector.
@@ -31,11 +31,12 @@
 // entry waited in. The win is the steady state: a long job's completion
 // event is armed thousands of quanta before it fires, and without the band
 // every arm is a heap push and every compaction walks and re-heapifies all
-// of them; with it they cost a vector append and compaction filters them
-// without heap repair.
+// of them; with it they cost a vector append, and a disarm splices the far
+// entry out, so the band holds only live entries.
 #ifndef GFAIR_SIMKIT_EVENT_QUEUE_H_
 #define GFAIR_SIMKIT_EVENT_QUEUE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -52,14 +53,8 @@ inline constexpr TimerId kInvalidTimer = static_cast<TimerId>(-1);
 
 class EventQueue {
  public:
-  // Enqueues `callback` to fire at `when`. Returns a handle usable with
-  // Cancel().
-  EventId Push(SimTime when, EventCallback callback);
-
-  // Cancels a pending event. Returns false if the event already fired or was
-  // already cancelled. Timer arms are not cancellable through this — use
-  // DisarmTimer.
-  bool Cancel(EventId id);
+  // Enqueues `callback` to fire once at `when`.
+  void Push(SimTime when, EventCallback callback);
 
   // --- timers (see file comment) ---
   //
@@ -68,15 +63,14 @@ class EventQueue {
   // per firing.
   TimerId CreateTimer(EventCallback callback);
   // Schedules the timer's callback at `when`. Precondition: not armed.
-  // Returns the heap entry's event id (introspection; disarm by TimerId).
   // Defined inline below: arm/disarm run thousands of times per full-churn
   // quantum and the bodies are a handful of stores.
-  EventId ArmTimer(TimerId timer, SimTime when);
+  void ArmTimer(TimerId timer, SimTime when);
   // Cancels a pending arm. Returns false if the timer was not armed (never
   // armed, already fired, or already disarmed). O(1), no heap access.
   bool DisarmTimer(TimerId timer);
   bool TimerArmed(TimerId timer) const {
-    return timers_[timer].armed_id != 0;
+    return slots_[timer].armed_id != 0;
   }
 
   bool empty() const { return live_count_ == 0; }
@@ -88,7 +82,6 @@ class EventQueue {
   // Removes and returns the earliest live event. Precondition: !empty().
   struct PoppedEvent {
     SimTime time;
-    EventId id;
     EventCallback callback;
   };
   PoppedEvent Pop();
@@ -97,10 +90,7 @@ class EventQueue {
   struct Entry {
     SimTime time;
     EventId id;
-    // Owning timer slot, or kInvalidTimer for a one-shot Push event. Decides
-    // where the entry's callback and liveness live: the timer slot (armed_id
-    // must still equal `id`) or the callback table.
-    TimerId timer = kInvalidTimer;
+    uint32_t slot;  // index into slots_
     // Min-heap on (time, id): earlier time first, then earlier scheduling.
     bool operator>(const Entry& other) const {
       if (time != other.time) {
@@ -112,70 +102,31 @@ class EventQueue {
 
   static constexpr uint32_t kNoFarIndex = static_cast<uint32_t>(-1);
 
-  struct TimerSlot {
+  struct Slot {
     EventCallback callback;
-    EventId armed_id = 0;  // 0 = not armed
+    EventId armed_id = 0;  // the entry that will fire this slot; 0 = none
     // Position of the armed entry inside far_, or kNoFarIndex when the arm
-    // went to the heap (or the timer is not armed). Far entries only move on
-    // swap-remove, drain, and compaction — all of which patch this — so a
-    // disarm can splice its far entry out in O(1) instead of leaving a
-    // tombstone. The common cycle (arm far, disarm before the horizon nears)
-    // then never grows the far band or triggers compaction.
+    // went to the heap (or the slot is not armed). Far entries only move on
+    // swap-remove and drain — both of which patch this — so a disarm can
+    // splice its far entry out in O(1) instead of leaving a tombstone. The
+    // common cycle (arm far, disarm before the horizon nears) then never
+    // grows the far band or triggers compaction.
     uint32_t far_index = kNoFarIndex;
+    // Owned by a timer (kept across firings) rather than borrowed by a Push.
+    bool timer = false;
   };
 
-  // Whether a heap entry will still fire (not cancelled/disarmed/superseded).
+  // Whether a heap entry will still fire (not disarmed or superseded).
   bool IsLive(const Entry& entry) const {
-    if (entry.timer != kInvalidTimer) {
-      return timers_[entry.timer].armed_id == entry.id;
-    }
-    return callbacks_.Contains(entry.id);
+    return slots_[entry.slot].armed_id == entry.id;
   }
 
-  // Open-addressing hash table from live EventId to its callback. Push and
-  // Cancel run once per executor resume/suspend every quantum, so the table
-  // avoids the per-event node allocation of std::unordered_map: slots live
-  // in one flat array (id 0 = empty; real ids start at 1), probing is
-  // linear, and erase backward-shifts the following cluster so lookups never
-  // need tombstones. Ids are sequential, so the home slot multiplies by an
-  // odd 64-bit constant first — mapping ids directly would lay a burst of
-  // pushes out contiguously, and backward-shift erase walks to the end of a
-  // cluster, turning each cancel O(cluster length).
-  class CallbackTable {
-   public:
-    void Insert(EventId id, EventCallback callback);
-    // Moves the callback out and erases the slot. Precondition: Contains(id).
-    EventCallback Take(EventId id);
-    bool Erase(EventId id);  // false when absent
-    bool Contains(EventId id) const;
-    size_t size() const { return size_; }
+  // Queues a fresh entry for `slot`, whose callback is already set.
+  void Arm(uint32_t slot, SimTime when);
 
-   private:
-    struct Slot {
-      EventId id = 0;
-      EventCallback callback;
-    };
-
-    size_t Grow();  // doubles capacity, rehashes; returns new mask
-    size_t FindSlot(EventId id) const;  // index of id's slot, or npos
-    void EraseSlot(size_t pos);
-    static size_t Home(EventId id, size_t mask) {
-      return static_cast<size_t>(id * 0x9E3779B97F4A7C15ULL) & mask;
-    }
-
-    static constexpr size_t kNpos = static_cast<size_t>(-1);
-    std::vector<Slot> slots_;  // power-of-two size (lazily initialized)
-    size_t size_ = 0;
-  };
-
-  // Routes a fresh entry to the heap or, when it lies past the far horizon,
-  // the far band. Shared by Push and ArmTimer; inline below.
-  void Enqueue(const Entry& entry);
-
-  void DropCancelledHead() const;
-  // Rebuilds heap and far band keeping only live entries. O(total entries);
-  // amortized O(1) per cancel since it only runs once tombstones exceed live
-  // entries.
+  void DropDisarmedHead() const;
+  // Rebuilds the heap keeping only live entries. O(heap size); amortized
+  // O(1) per disarm since it only runs once tombstones exceed live entries.
   void Compact();
 
   // Entries at or beyond this much simulated time past the last fired event
@@ -186,35 +137,36 @@ class EventQueue {
 
   // Moves the far band into the heap once the heap front (or heap
   // exhaustion) reaches the band's earliest entry. Mutates only the mutable
-  // containers — logically const like DropCancelledHead.
+  // containers — logically const like DropDisarmedHead.
   void MaybeDrainFar() const;
 
   // Min-heap over a flat vector (std::push_heap/pop_heap with greater<>) so
-  // it can be compacted in place; callbacks live in a side table so cancelled
-  // callbacks release their captures promptly.
+  // it can be compacted in place; callbacks live in the slots, so a disarmed
+  // entry holds no callback.
   mutable std::vector<Entry> heap_;
   // Far band (see file comment): unsorted; `far_min_` tracks the minimum
-  // entry time ever inserted since the last drain. Cancelled entries can
+  // entry time ever inserted since the last drain. Spliced-out entries can
   // leave it lower than any live entry — that only costs a premature drain.
   mutable std::vector<Entry> far_;
   mutable SimTime far_min_ = kTimeNever;
   SimTime last_fired_ = 0;
-  CallbackTable callbacks_;
   // Mutable for MaybeDrainFar: draining clears the drained entries'
   // far_index back-pointers — cache maintenance, not behavior.
-  mutable std::vector<TimerSlot> timers_;
+  mutable std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;  // borrowable by Push
   EventId next_id_ = 1;
   size_t live_count_ = 0;
 };
 
-inline void EventQueue::Enqueue(const Entry& entry) {
-  if (entry.time - last_fired_ >= kFarHorizon) {
-    if (entry.timer != kInvalidTimer) {
-      timers_[entry.timer].far_index = static_cast<uint32_t>(far_.size());
-    }
+inline void EventQueue::Arm(uint32_t slot, SimTime when) {
+  const Entry entry{when, next_id_++, slot};
+  slots_[slot].armed_id = entry.id;
+  ++live_count_;
+  if (when - last_fired_ >= kFarHorizon) {
+    slots_[slot].far_index = static_cast<uint32_t>(far_.size());
     far_.push_back(entry);
-    if (entry.time < far_min_) {
-      far_min_ = entry.time;
+    if (when < far_min_) {
+      far_min_ = when;
     }
     return;
   }
@@ -222,40 +174,37 @@ inline void EventQueue::Enqueue(const Entry& entry) {
   std::push_heap(heap_.begin(), heap_.end(), std::greater<Entry>());
 }
 
-inline EventId EventQueue::ArmTimer(TimerId timer, SimTime when) {
-  GFAIR_CHECK(timer < timers_.size());
-  TimerSlot& slot = timers_[timer];
-  GFAIR_CHECK_MSG(slot.armed_id == 0, "ArmTimer on an armed timer");
-  const EventId id = next_id_++;
-  Enqueue(Entry{when, id, timer});
-  slot.armed_id = id;
-  ++live_count_;
-  return id;
+inline void EventQueue::ArmTimer(TimerId timer, SimTime when) {
+  GFAIR_CHECK(timer < slots_.size() && slots_[timer].timer);
+  GFAIR_CHECK_MSG(slots_[timer].armed_id == 0, "ArmTimer on an armed timer");
+  Arm(timer, when);
 }
 
 inline bool EventQueue::DisarmTimer(TimerId timer) {
-  GFAIR_CHECK(timer < timers_.size());
-  TimerSlot& slot = timers_[timer];
+  GFAIR_CHECK(timer < slots_.size() && slots_[timer].timer);
+  Slot& slot = slots_[timer];
   if (slot.armed_id == 0) {
     return false;
   }
   slot.armed_id = 0;
   --live_count_;
   if (slot.far_index != kNoFarIndex) {
-    // Splice the far entry out (see TimerSlot::far_index); no tombstone.
+    // Splice the far entry out (see Slot::far_index); no tombstone.
     const uint32_t idx = slot.far_index;
     slot.far_index = kNoFarIndex;
     far_[idx] = far_.back();
     far_.pop_back();
-    if (idx < far_.size() && far_[idx].timer != kInvalidTimer) {
-      timers_[far_[idx].timer].far_index = idx;
+    if (idx < far_.size()) {
+      slots_[far_[idx].slot].far_index = idx;
     }
     // far_min_ may now under-estimate the surviving minimum; that only costs
     // a premature (harmless) drain.
     return true;
   }
-  // Heap-resident arm: tombstone, same slack policy as Cancel (see
-  // event_queue.cc).
+  // Heap-resident arm: tombstone. ~5:1 slack: a lower ratio (e.g. 1:1)
+  // makes steady disarm churn recompact every couple of quanta, and the O(n)
+  // passes start to show up in tick profiles; memory stays bounded by the
+  // live count.
   if (heap_.size() + far_.size() > 6 * live_count_ + 64) {
     Compact();
   }

@@ -7,10 +7,7 @@
 #define GFAIR_SIMKIT_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/sim_time.h"
 #include "simkit/event_queue.h"
@@ -22,16 +19,16 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   // Schedules `callback` at absolute time `when` (>= Now()).
-  EventId At(SimTime when, EventCallback callback);
+  void At(SimTime when, EventCallback callback);
 
   // Schedules `callback` `delay` from now (delay >= 0).
-  EventId After(SimDuration delay, EventCallback callback);
+  void After(SimDuration delay, EventCallback callback);
 
-  // Schedules `callback` every `period`, first firing at Now() + period.
-  // Returns a stable handle for the whole repeating chain; Cancel(handle)
-  // stops future firings no matter how many times the chain already fired.
-  EventId Every(SimDuration period, std::function<void()> callback);
-  bool Cancel(EventId id);
+  // Schedules `callback` every `period`, first firing at Now() + period,
+  // for the simulator's lifetime. Each firing schedules the next one after
+  // the callback returns, so an event the callback schedules for the next
+  // firing's instant fires before that firing.
+  void Every(SimDuration period, EventCallback callback);
 
   // Reusable timers (see EventQueue): create once, then arm/disarm per
   // cycle. The cheap path for high-churn recurring events — the executor's
@@ -39,9 +36,9 @@ class Simulator {
   TimerId CreateTimer(EventCallback callback) {
     return queue_.CreateTimer(std::move(callback));
   }
-  EventId ArmTimerAt(TimerId timer, SimTime when) {
+  void ArmTimerAt(TimerId timer, SimTime when) {
     GFAIR_CHECK_MSG(when >= now_, "cannot schedule events in the past");
-    return queue_.ArmTimer(timer, when);
+    queue_.ArmTimer(timer, when);
   }
   bool DisarmTimer(TimerId timer) { return queue_.DisarmTimer(timer); }
   bool TimerArmed(TimerId timer) const { return queue_.TimerArmed(timer); }
@@ -61,26 +58,6 @@ class Simulator {
   uint64_t total_events_processed() const { return events_processed_; }
 
  private:
-  // A repeating chain re-pushes itself under a fresh event id on every
-  // firing. The chain owns the user callback; each queued event holds the
-  // chain (never the reverse), so there is no ownership cycle: a cancelled
-  // or abandoned chain is freed with its last queued event or with the
-  // simulator. `live` tracks the currently pending event id so Cancel() —
-  // keyed by the chain's first id — can remove the live event from the queue
-  // instead of leaving a stale callback behind.
-  struct RepeatingChain {
-    std::function<void()> callback;
-    SimDuration period = 0;
-    bool cancelled = false;
-    EventId live;
-  };
-  // Fires one link of `chain` and queues the next.
-  void FireRepeating(const std::shared_ptr<RepeatingChain>& chain);
-  EventId PushRepeating(const std::shared_ptr<RepeatingChain>& chain);
-  // A handful of chains exist at a time (periodic scheduler timers), but
-  // one-shot cancels consult this on the per-quantum path first — a linear
-  // scan beats hashing at this size.
-  std::vector<std::pair<EventId, std::shared_ptr<RepeatingChain>>> repeating_chains_;
   EventQueue queue_;
   SimTime now_ = kTimeZero;
   bool stop_requested_ = false;

@@ -83,10 +83,11 @@ std::vector<TraceEntry> TraceGenerator::Generate(
       const int gang_size =
           spec.gang_sizes.entries[user_rng.WeightedIndex(gang_weights)].first;
       // Clamp durations into [1 minute, 10x mean] to keep the tail heavy but
-      // finite within experiment horizons.
+      // finite within experiment horizons. The cap is applied last, so a
+      // mean under 6 s (10x mean under the minute floor) yields 10x the mean.
       double duration_ms = user_rng.LogNormal(mu, sigma);
-      duration_ms = std::clamp(duration_ms, static_cast<double>(kMinute),
-                               10.0 * static_cast<double>(spec.mean_duration_k80));
+      duration_ms = std::min(std::max(duration_ms, static_cast<double>(kMinute)),
+                             10.0 * static_cast<double>(spec.mean_duration_k80));
       const double work = MinibatchesFor(zoo_.Get(model_id), gang_size,
                                          static_cast<SimDuration>(duration_ms));
       trace.push_back(TraceEntry{user_ids[u], model_id, gang_size, work, t});

@@ -13,12 +13,16 @@ ArgParser Parse(std::vector<const char*> args) {
 TEST(ArgParserTest, SpaceSeparatedValues) {
   const auto args = Parse({"--name", "value", "--count", "7"});
   EXPECT_EQ(args.GetString("name"), "value");
-  EXPECT_EQ(args.GetInt("count", 0), 7);
+  int64_t count = 0;
+  EXPECT_TRUE(args.TryGetInt("count", &count));
+  EXPECT_EQ(count, 7);
 }
 
 TEST(ArgParserTest, EqualsSeparatedValues) {
   const auto args = Parse({"--rate=2.5", "--label=x=y"});
-  EXPECT_DOUBLE_EQ(args.GetDouble("rate", 0.0), 2.5);
+  double rate = 0.0;
+  EXPECT_TRUE(args.TryGetDouble("rate", &rate));
+  EXPECT_DOUBLE_EQ(rate, 2.5);
   EXPECT_EQ(args.GetString("label"), "x=y");  // only first '=' splits
 }
 
@@ -35,8 +39,12 @@ TEST(ArgParserTest, BooleanFlags) {
 TEST(ArgParserTest, FallbacksWhenAbsent) {
   const auto args = Parse({});
   EXPECT_EQ(args.GetString("x", "d"), "d");
-  EXPECT_DOUBLE_EQ(args.GetDouble("y", 1.5), 1.5);
-  EXPECT_EQ(args.GetInt("z", -3), -3);
+  double real = 1.5;
+  EXPECT_FALSE(args.TryGetDouble("y", &real));
+  EXPECT_DOUBLE_EQ(real, 1.5);
+  int64_t integer = -3;
+  EXPECT_FALSE(args.TryGetInt("z", &integer));
+  EXPECT_EQ(integer, -3);
   EXPECT_FALSE(args.Has("x"));
 }
 
@@ -67,7 +75,7 @@ TEST(ArgParserTest, TryGettersRejectGarbage) {
 
 TEST(ArgParserTest, UnconsumedFlagDetection) {
   const auto args = Parse({"--used", "1", "--typo", "2"});
-  args.GetInt("used", 0);
+  EXPECT_TRUE(args.Has("used"));
   const auto unconsumed = args.UnconsumedFlags();
   ASSERT_EQ(unconsumed.size(), 1u);
   EXPECT_EQ(unconsumed[0], "typo");

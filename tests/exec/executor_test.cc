@@ -220,14 +220,6 @@ TEST_F(ExecutorTest, LatenciesScaleWithCheckpointSize) {
             exec_.SuspendLatency(large) + exec_.ResumeLatency(large));
 }
 
-TEST_F(ExecutorTest, EvictOnlyWithoutProgress) {
-  Job& job = MakeJob("DCGAN", 1, 1e9);
-  exec_.MakeResident(job.id, K80());
-  exec_.EvictResident(job.id);
-  EXPECT_EQ(job.state, JobState::kQueued);
-  EXPECT_FALSE(job.resident());
-}
-
 TEST_F(ExecutorTest, FinishReleasesGpus) {
   Job& job = MakeJob("DCGAN", 4, 16.0);  // 1s of work
   exec_.MakeResident(job.id, K80());

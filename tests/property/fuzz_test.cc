@@ -138,10 +138,6 @@ TEST_P(StrideFuzz, SelectionAlwaysFeasibleAndPassesMonotone) {
       const JobId id = resident[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(resident.size()) - 1))];
       stride.SetTickets(id, rng.Uniform(0.01, 4.0));
-    } else if (op == 5) {  // toggle runnable
-      const JobId id = resident[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(resident.size()) - 1))];
-      stride.SetRunnable(id, rng.Bernoulli(0.8));
     } else {  // run a quantum
       const auto selected = stride.SelectForQuantum();
       int used = 0;

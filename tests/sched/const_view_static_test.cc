@@ -35,12 +35,6 @@ struct CanSetTickets<T, std::void_t<decltype(std::declval<T>().SetTickets(
                             std::declval<JobId>(), 1.0))>> : std::true_type {};
 
 template <typename T, typename = void>
-struct CanSetRunnable : std::false_type {};
-template <typename T>
-struct CanSetRunnable<T, std::void_t<decltype(std::declval<T>().SetRunnable(
-                             std::declval<JobId>(), true))>> : std::true_type {};
-
-template <typename T, typename = void>
 struct CanInvalidateTicketLoad : std::false_type {};
 template <typename T>
 struct CanInvalidateTicketLoad<
@@ -91,8 +85,6 @@ static_assert(!CanAddJob<StrideThroughView>::value,
               "AddJob must not be callable through the view");
 static_assert(!CanSetTickets<StrideThroughView>::value,
               "SetTickets must not be callable through the view");
-static_assert(!CanSetRunnable<StrideThroughView>::value,
-              "SetRunnable must not be callable through the view");
 static_assert(!CanInvalidateTicketLoad<StrideThroughView>::value,
               "InvalidateTicketLoad must not be callable through the view");
 static_assert(!CanCharge<StrideThroughView>::value,
@@ -102,7 +94,6 @@ static_assert(!CanCharge<StrideThroughView>::value,
 // otherwise the negative asserts above would pass vacuously.
 static_assert(CanAddJob<LocalStrideScheduler&>::value);
 static_assert(CanSetTickets<LocalStrideScheduler&>::value);
-static_assert(CanSetRunnable<LocalStrideScheduler&>::value);
 static_assert(CanInvalidateTicketLoad<LocalStrideScheduler&>::value);
 static_assert(CanCharge<LocalStrideScheduler&>::value);
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 
 #include "analysis/harness.h"
 #include "analysis/metrics.h"
@@ -233,14 +234,17 @@ TEST(GandivaFairTest, NoProfileSamplesWithTradingOff) {
 // the job. The tick's suspend catches the job with its work done; it must
 // finish at that instant. (Before, it stayed suspended with no work left
 // and the next resume aborted on `remaining > 0`.)
-// ctest names these cases after the parameter's byte dump; the 16-bit knobs
-// keep it at 16 bytes.
 struct TickPath {
   const char* name;
-  int16_t apply_threads;
-  int16_t plan_shards;
-  int16_t plan_threads;
+  int apply_threads;
+  int plan_shards;
+  int plan_threads;
 };
+
+// Prints the path's name, which ctest then uses for the case. gtest's
+// default dump shows the name's address, so the test names would change
+// from build to build.
+void PrintTo(const TickPath& path, std::ostream* os) { *os << path.name; }
 
 class FinishOnTickTest : public ::testing::TestWithParam<TickPath> {};
 
@@ -285,8 +289,7 @@ TEST_P(FinishOnTickTest, JobSuspendedAtItsFinishInstantFinishesThere) {
 INSTANTIATE_TEST_SUITE_P(
     TickPaths, FinishOnTickTest,
     ::testing::Values(TickPath{"Serial", 1, 1, 1}, TickPath{"ParallelApply", 2, 1, 1},
-                      TickPath{"Sharded", 1, 2, 1}, TickPath{"Pooled", 2, 2, 2}),
-    [](const ::testing::TestParamInfo<TickPath>& path) { return path.param.name; });
+                      TickPath{"Sharded", 1, 2, 1}, TickPath{"Pooled", 2, 2, 2}));
 
 TEST(GandivaFairTest, TradingImprovesLenderWithoutHurtingBorrower) {
   auto run = [](bool trading) {

@@ -161,32 +161,6 @@ TEST(StrideTest, BackfillsPastBlockedGang) {
   EXPECT_TRUE(Contains(selected, JobId(2)));
 }
 
-TEST(StrideTest, NonRunnableJobsAreSkipped) {
-  LocalStrideScheduler stride(2);
-  stride.AddJob(JobId(0), 1, 1.0);
-  stride.AddJob(JobId(1), 1, 1.0);
-  stride.SetRunnable(JobId(0), false);
-  const auto selected = stride.SelectForQuantum();
-  ASSERT_EQ(selected.size(), 1u);
-  EXPECT_EQ(selected[0], JobId(1));
-  EXPECT_DOUBLE_EQ(stride.TicketLoad().raw(), 1.0);
-  EXPECT_EQ(stride.DemandLoad(), 1);
-}
-
-TEST(StrideTest, ReenteringJobPassIsFloored) {
-  LocalStrideScheduler stride(1);
-  stride.AddJob(JobId(0), 1, 1.0);
-  stride.AddJob(JobId(1), 1, 1.0);
-  stride.SetRunnable(JobId(0), false);
-  for (int i = 0; i < 10; ++i) {
-    (void)stride.SelectForQuantum();
-    stride.Charge(JobId(1), 1000);
-  }
-  stride.SetRunnable(JobId(0), true);
-  // Job 0 must not monopolize: its pass was floored to the virtual time.
-  EXPECT_GE(stride.PassOf(JobId(0)), stride.VirtualTime() - Stride(1e-9));
-}
-
 TEST(StrideTest, SetTicketsChangesFutureShares) {
   LocalStrideScheduler stride(1);
   stride.AddJob(JobId(0), 1, 1.0);
@@ -234,13 +208,6 @@ TEST(StrideTest, CachedLoadsTrackMutations) {
 
   stride.SetTickets(JobId(0), 3.5);
   EXPECT_DOUBLE_EQ(stride.TicketLoad().raw(), 6.0);
-
-  stride.SetRunnable(JobId(1), false);  // non-runnable jobs leave both loads
-  EXPECT_DOUBLE_EQ(stride.TicketLoad().raw(), 3.5);
-  EXPECT_EQ(stride.DemandLoad(), 2);
-  stride.SetRunnable(JobId(1), true);
-  EXPECT_DOUBLE_EQ(stride.TicketLoad().raw(), 6.0);
-  EXPECT_EQ(stride.DemandLoad(), 6);
 
   stride.RemoveJob(JobId(0));
   EXPECT_DOUBLE_EQ(stride.TicketLoad().raw(), 2.5);
@@ -363,10 +330,6 @@ TEST(StrideTest, PositionWalkChargesLikeIdLookups) {
     by_id.RemoveJob(victim);
     by_pos.RemoveJob(victim);
     add(next_id++, 1 + round % 4);
-    if (round % 3 == 0) {
-      by_id.SetRunnable(by_id.ResidentJobs()[0], false);
-      by_pos.SetRunnable(by_pos.ResidentJobs()[0], false);
-    }
   }
 }
 

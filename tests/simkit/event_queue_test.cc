@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 namespace gfair::simkit {
@@ -35,43 +36,41 @@ TEST(EventQueueTest, SameTimeFiresInSchedulingOrder) {
 TEST(EventQueueTest, NextTimeTracksEarliestLive) {
   EventQueue queue;
   EXPECT_EQ(queue.NextTime(), kTimeNever);
-  const EventId early = queue.Push(5, [] {});
+  const TimerId early = queue.CreateTimer([] {});
+  queue.ArmTimer(early, 5);
   queue.Push(9, [] {});
   EXPECT_EQ(queue.NextTime(), 5);
-  queue.Cancel(early);
+  queue.DisarmTimer(early);
   EXPECT_EQ(queue.NextTime(), 9);
-}
-
-TEST(EventQueueTest, CancelRemovesEvent) {
-  EventQueue queue;
-  bool fired = false;
-  const EventId id = queue.Push(1, [&] { fired = true; });
-  EXPECT_TRUE(queue.Cancel(id));
-  EXPECT_TRUE(queue.empty());
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueueTest, CancelTwiceFails) {
-  EventQueue queue;
-  const EventId id = queue.Push(1, [] {});
-  EXPECT_TRUE(queue.Cancel(id));
-  EXPECT_FALSE(queue.Cancel(id));
-}
-
-TEST(EventQueueTest, CancelAfterPopFails) {
-  EventQueue queue;
-  const EventId id = queue.Push(1, [] {});
-  queue.Pop();
-  EXPECT_FALSE(queue.Cancel(id));
 }
 
 TEST(EventQueueTest, SizeCountsLiveOnly) {
   EventQueue queue;
-  const EventId a = queue.Push(1, [] {});
+  const TimerId a = queue.CreateTimer([] {});
+  queue.ArmTimer(a, 1);
   queue.Push(2, [] {});
   EXPECT_EQ(queue.size(), 2u);
-  queue.Cancel(a);
+  queue.DisarmTimer(a);
   EXPECT_EQ(queue.size(), 1u);
+}
+
+TEST(EventQueueTest, PushSlotsAreReusedAfterFiring) {
+  // A one-shot event borrows a slot while it waits and returns it when it
+  // fires, releasing its callback's captures. Timer ids are slot indices, so
+  // a timer created afterwards counts the slots ever allocated.
+  EventQueue queue;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  queue.Push(1, [token = std::move(token)] { ++*token; });
+  queue.Pop().callback();
+  EXPECT_TRUE(watch.expired());
+  for (SimTime t = 2; t < 200; t += 2) {
+    queue.Push(t + 1, [] {});
+    queue.Push(t, [] {});
+    queue.Pop().callback();
+    queue.Pop().callback();
+  }
+  EXPECT_EQ(queue.CreateTimer([] {}), 2u);
 }
 
 TEST(EventQueueTimerTest, ArmFireRearm) {
@@ -128,21 +127,6 @@ TEST(EventQueueFarBandTest, NextTimeSeesFarEntriesWhenHeapEmpties) {
   EXPECT_EQ(queue.size(), 1u);
 }
 
-TEST(EventQueueFarBandTest, CancelledFarEventNeverFires) {
-  EventQueue queue;
-  bool fired = false;
-  const EventId id = queue.Push(2 * kHourMs, [&] { fired = true; });
-  queue.Push(3 * kHourMs, [] {});
-  EXPECT_TRUE(queue.Cancel(id));
-  int pops = 0;
-  while (!queue.empty()) {
-    queue.Pop();
-    ++pops;
-  }
-  EXPECT_EQ(pops, 1);
-  EXPECT_FALSE(fired);
-}
-
 TEST(EventQueueFarBandTest, DisarmedFarTimersAreSplicedOutAndRearmable) {
   // The executor's steady-state pattern: many timers armed far ahead, most
   // disarmed before the horizon nears (suspend cancels the completion
@@ -169,29 +153,31 @@ TEST(EventQueueFarBandTest, DisarmedFarTimersAreSplicedOutAndRearmable) {
 }
 
 TEST(EventQueueFarBandTest, HeavyCancelChurnCompactsWithoutReordering) {
-  // Arm/cancel churn deep enough to trip compaction with a populated far
-  // band; survivors must still fire in (time, id) order.
+  // Near timer arm/disarm churn beside far pushes that wait in the band.
+  // Each round adds 64 heap entries of which one stays live, plus one live
+  // far push, so tombstones pass five times the live count every couple of
+  // rounds and compaction trips with the far band populated. The surviving
+  // timers and the far pushes must still fire in (time, id) order.
   EventQueue queue;
   std::vector<SimTime> fire_times;
-  std::vector<EventId> cancelable;
   for (int round = 0; round < 40; ++round) {
-    for (int i = 0; i < 16; ++i) {
-      const SimTime when = 2 * kHourMs + round * 1000 + i;
-      if (i % 4 == 0) {
-        queue.Push(when, [&fire_times, when] { fire_times.push_back(when); });
-      } else {
-        cancelable.push_back(queue.Push(when, [] {}));
+    const SimTime far = 2 * kHourMs + round * 1000;
+    queue.Push(far, [&fire_times, far] { fire_times.push_back(far); });
+    for (int i = 0; i < 64; ++i) {
+      const SimTime when = (round * 7 % 40) * 1000 + (i * 5 % 64);
+      const TimerId timer =
+          queue.CreateTimer([&fire_times, when] { fire_times.push_back(when); });
+      queue.ArmTimer(timer, when);
+      if (i != round % 64) {
+        EXPECT_TRUE(queue.DisarmTimer(timer));
       }
     }
-    for (EventId id : cancelable) {
-      queue.Cancel(id);
-    }
-    cancelable.clear();
   }
+  EXPECT_EQ(queue.size(), 40u * 2u);
   while (!queue.empty()) {
     queue.Pop().callback();
   }
-  EXPECT_EQ(fire_times.size(), 40u * 4u);
+  EXPECT_EQ(fire_times.size(), 40u * 2u);
   EXPECT_TRUE(std::is_sorted(fire_times.begin(), fire_times.end()));
 }
 

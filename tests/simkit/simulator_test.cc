@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace gfair::simkit {
@@ -61,81 +62,34 @@ TEST(SimulatorTest, EveryFiresPeriodically) {
   EXPECT_EQ(fires, (std::vector<SimTime>{10, 20, 30}));
 }
 
-TEST(SimulatorTest, CancelRepeatingStopsChain) {
+TEST(SimulatorTest, EveryReArmsAfterItsCallback) {
+  // The next firing is scheduled once the callback has returned, so an
+  // event the callback schedules for the next firing's instant was
+  // scheduled first and fires first.
   Simulator sim;
-  int fires = 0;
-  const EventId id = sim.Every(10, [&] { ++fires; });
-  sim.RunUntil(25);
-  EXPECT_EQ(fires, 2);
-  sim.Cancel(id);
-  sim.RunUntil(100);
-  EXPECT_EQ(fires, 2);
-}
-
-TEST(SimulatorTest, CancelAfterFiringRemovesPendingEvent) {
-  // A repeating chain re-pushes itself under fresh event ids; cancelling by
-  // the original handle after firings must remove the chain's live pending
-  // event from the queue, not just tombstone it — otherwise every cancelled
-  // chain leaves a dead event behind and Run() never drains.
-  Simulator sim;
-  int fires = 0;
-  const EventId id = sim.Every(10, [&] { ++fires; });
-  sim.RunUntil(25);
-  EXPECT_EQ(fires, 2);
-  EXPECT_EQ(sim.pending_events(), 1u);  // the chain's next firing at t=30
-  EXPECT_TRUE(sim.Cancel(id));
-  EXPECT_EQ(sim.pending_events(), 0u);
-  sim.Run();  // drains immediately: no stale callback left
-  EXPECT_EQ(fires, 2);
-  EXPECT_EQ(sim.Now(), 25);
-}
-
-TEST(SimulatorTest, CancelRepeatingFromInsideCallback) {
-  Simulator sim;
-  int fires = 0;
-  EventId id{};
-  id = sim.Every(10, [&] {
-    ++fires;
-    if (fires == 3) {
-      EXPECT_TRUE(sim.Cancel(id));
-    }
+  std::vector<std::pair<char, SimTime>> fires;
+  sim.Every(10, [&] {
+    fires.emplace_back('e', sim.Now());
+    sim.After(10, [&] { fires.emplace_back('a', sim.Now()); });
   });
-  sim.RunUntil(200);
-  EXPECT_EQ(fires, 3);
-  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.RunUntil(25);
+  EXPECT_EQ(fires, (std::vector<std::pair<char, SimTime>>{{'e', 10}, {'a', 20}, {'e', 20}}));
 }
 
 TEST(SimulatorTest, DestroyingSimulatorReleasesRepeatingChains) {
-  // Each chain's callback captures a token. Once the simulator is gone,
-  // nothing may still hold one — neither a live chain nor a cancelled one:
-  // a chain that owned itself would leak its callback and every capture.
-  auto live_token = std::make_shared<int>(0);
-  auto cancelled_token = std::make_shared<int>(0);
-  const std::weak_ptr<int> live_watch = live_token;
-  const std::weak_ptr<int> cancelled_watch = cancelled_token;
+  // The chain's callback captures a token. Once the simulator is gone,
+  // nothing may still hold it: a chain that owned itself would leak its
+  // callback and every capture.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
   {
     Simulator sim;
-    sim.Every(10, [token = std::move(live_token)] { ++*token; });
-    const EventId cancelled =
-        sim.Every(7, [token = std::move(cancelled_token)] { ++*token; });
+    sim.Every(10, [token = std::move(token)] { ++*token; });
     sim.RunUntil(25);
-    ASSERT_FALSE(cancelled_watch.expired());
-    EXPECT_EQ(*cancelled_watch.lock(), 3);
-    EXPECT_TRUE(sim.Cancel(cancelled));
-    ASSERT_FALSE(live_watch.expired());
-    EXPECT_EQ(*live_watch.lock(), 2);
+    ASSERT_FALSE(watch.expired());
+    EXPECT_EQ(*watch.lock(), 2);
   }
-  EXPECT_TRUE(live_watch.expired());
-  EXPECT_TRUE(cancelled_watch.expired());
-}
-
-TEST(SimulatorTest, CancelOneShot) {
-  Simulator sim;
-  bool fired = false;
-  const EventId id = sim.At(10, [&] { fired = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  sim.Run();
-  EXPECT_FALSE(fired);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(SimulatorTest, StopHaltsProcessing) {

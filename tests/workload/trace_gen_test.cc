@@ -108,6 +108,23 @@ TEST(TraceGenTest, MinibatchesMatchDurationTimesRate) {
                    model.GangThroughput(cluster::GpuGeneration::kK80, 2) * 3600.0);
 }
 
+TEST(TraceGenTest, MeanUnderSixSecondsYieldsTenTimesTheMean) {
+  // The minute floor lies above the 10x-mean cap here; the cap wins.
+  TraceGenerator gen(ModelZoo::Default(), 5);
+  std::vector<UserWorkloadSpec> specs(1);
+  specs[0].name = "a";
+  specs[0].mean_interarrival = Minutes(1);
+  specs[0].mean_duration_k80 = Seconds(3);
+  specs[0].stop = Hours(1);
+  const auto trace = gen.Generate(specs, {UserId(0)});
+  ASSERT_FALSE(trace.empty());
+  for (const TraceEntry& entry : trace) {
+    const auto& model = ModelZoo::Default().Get(entry.model);
+    EXPECT_DOUBLE_EQ(entry.total_minibatches,
+                     TraceGenerator::MinibatchesFor(model, entry.gang_size, Seconds(30)));
+  }
+}
+
 TEST(TraceGenTest, DiurnalModulationShiftsLoadWithinTheDay) {
   TraceGenerator gen(ModelZoo::Default(), 31);
   std::vector<UserWorkloadSpec> specs(1);

@@ -15,7 +15,8 @@
 //   gfairsim --compare --hours 8 --gangs philly
 //
 // Flags:
-//   --topology   hetero200 | homog200 | "NxMxGEN[,NxMxGEN...]"   (default hetero200)
+//   --topology   hetero200 | homog200 | "NxMxGEN[,NxMxGEN...]"   (default hetero200;
+//                N and M are decimal integers, at most 10^6 GPUs in total)
 //   --policy     gandiva_fair | no_trade | plain_stride | fifo | quota |
 //                greedy | sjf | las                              (default gandiva_fair)
 //   --compare    run ALL policies on the same workload
@@ -37,6 +38,7 @@
 //   --dump-decisions F   write the scheduler's decision-log tail to a file
 //   --snapshot       print the end-of-run cluster snapshot (GandivaFair only)
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -105,6 +107,20 @@ void PrintHelp() {
       "  --csv PREFIX --dump-decisions FILE\n");
 }
 
+// A --topology count: the whole text must be a positive decimal integer.
+std::optional<int64_t> ParseCount(const std::string& text) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value <= 0) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// Ten times E11's largest cluster (steady_12500, 100k GPUs).
+constexpr int64_t kMaxTopologyGpus = 1'000'000;
+
 std::optional<cluster::Topology> ParseTopology(const std::string& spec) {
   if (spec.empty() || spec == "hetero200") {
     return cluster::PaperScaleTopology();
@@ -113,6 +129,7 @@ std::optional<cluster::Topology> ParseTopology(const std::string& spec) {
     return cluster::HomogeneousTopology(25, 8);
   }
   cluster::Topology topology;
+  int64_t total_gpus = 0;
   for (const std::string& group : SplitAndTrim(spec, ',')) {
     const auto parts = SplitAndTrim(group, 'x');
     if (parts.size() != 3) {
@@ -122,12 +139,18 @@ std::optional<cluster::Topology> ParseTopology(const std::string& spec) {
     if (!cluster::ParseGeneration(parts[2], &gen)) {
       return std::nullopt;
     }
-    const int servers = std::atoi(parts[0].c_str());
-    const int gpus = std::atoi(parts[1].c_str());
-    if (servers <= 0 || gpus <= 0) {
+    const auto servers = ParseCount(parts[0]);
+    const auto gpus = ParseCount(parts[1]);
+    // Bounding each count by the cap first keeps the product within int64.
+    if (!servers || !gpus || *servers > kMaxTopologyGpus || *gpus > kMaxTopologyGpus) {
       return std::nullopt;
     }
-    topology.groups.push_back(cluster::ServerGroup{gen, servers, gpus});
+    total_gpus += *servers * *gpus;
+    if (total_gpus > kMaxTopologyGpus) {
+      return std::nullopt;
+    }
+    topology.groups.push_back(
+        cluster::ServerGroup{gen, static_cast<int>(*servers), static_cast<int>(*gpus)});
   }
   if (topology.groups.empty()) {
     return std::nullopt;
@@ -317,7 +340,7 @@ int main(int argc, char** argv) {
 
   const auto topology = ParseTopology(args.GetString("topology"));
   if (!topology) {
-    return Fail("bad --topology");
+    return Fail("bad --topology '" + args.GetString("topology") + "'");
   }
   const auto policy = ParsePolicy(args.GetString("policy"));
   if (!policy) {
