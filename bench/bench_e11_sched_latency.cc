@@ -24,9 +24,9 @@
 //                                  point keys (iterating on one scale point
 //                                  without paying for the full sweep).
 //                                  Opt-in points (the 100k-GPU steady_12500
-//                                  pair, whose fixtures take minutes to
-//                                  build) run only when named here and stay
-//                                  out of the CI baseline.
+//                                  pair) run only when named here and stay
+//                                  out of the CI baseline; CI runs
+//                                  steady_12500 measure-only, with no gate.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -334,7 +334,8 @@ int RunSmoke() {
     int plan_threads = 1;
     int num_users = 2;
     // Opt-in points run only when named in GFAIR_E11_POINTS: the 100k-GPU
-    // fixtures take minutes to build and would dominate every CI smoke run.
+    // fixtures (100k jobs, 256 users) take seconds to build and stay out of
+    // the gated sweep and its baseline.
     bool opt_in = false;
   };
   const std::vector<Point> points = {

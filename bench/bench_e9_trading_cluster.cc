@@ -136,13 +136,23 @@ int main() {
       no_trade.pool_utilization[g] += off.pool_utilization[g] / seeds.size();
       traded.pool_utilization[g] += on.pool_utilization[g] / seeds.size();
     }
-    no_trade.trades += off.trades / seeds.size();
-    traded.trades += on.trades / seeds.size();
-    no_trade.migrations += off.migrations / static_cast<int64_t>(seeds.size());
-    traded.migrations += on.migrations / static_cast<int64_t>(seeds.size());
+    // Counts are summed here and divided once below: dividing each run's
+    // count first would drop up to one per seed.
+    no_trade.trades += off.trades;
+    traded.trades += on.trades;
+    no_trade.migrations += off.migrations;
+    traded.migrations += on.migrations;
     for (size_t t = 0; t < sched::kNumDecisionTypes; ++t) {
-      no_trade.decisions[t] += off.decisions[t] / static_cast<int64_t>(seeds.size());
-      traded.decisions[t] += on.decisions[t] / static_cast<int64_t>(seeds.size());
+      no_trade.decisions[t] += off.decisions[t];
+      traded.decisions[t] += on.decisions[t];
+    }
+  }
+  const auto runs = static_cast<int64_t>(seeds.size());
+  for (RunResult* mean : {&no_trade, &traded}) {
+    mean->trades /= seeds.size();
+    mean->migrations /= runs;
+    for (int64_t& count : mean->decisions) {
+      count /= runs;
     }
   }
 

@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace gfair {
@@ -97,8 +98,10 @@ bool ArgParser::TryGetInt(const std::string& name, int64_t* out) const {
     return false;
   }
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  // Out of range: strtoll saturates to LLONG_MIN/MAX and reports ERANGE.
+  if (end == nullptr || *end != '\0' || errno == ERANGE) {
     return false;
   }
   *out = value;

@@ -1,5 +1,6 @@
 #include "sched/cluster_state_index.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -17,11 +18,21 @@ ClusterStateIndex::ClusterStateIndex(const cluster::Cluster& cluster,
   draining_.assign(n, false);
   down_.assign(n, false);
   plan_dirty_.assign(n, 1);  // every server must be planned on the first tick
+  occupancy_.assign(n, 0.0);
+  occupancy_slot_.assign(n, 0);
   for (const auto& server : cluster.servers()) {
+    GFAIR_CHECK_MSG(server.num_gpus() <= kMaxServerGpus,
+                    "server exceeds kMaxServerGpus: occupancy groups would be inexact");
     strides_.emplace_back(server.num_gpus(), stride_config);
     pools_by_load_[cluster::GenerationIndex(server.generation())].emplace(0.0,
                                                                           server.id());
+    JoinOccupancyGroup(server.id(), 0.0);
   }
+}
+
+double ClusterStateIndex::Occupancy(ServerId server) const {
+  const LocalStrideScheduler& s = stride(server);
+  return std::min(1.0, s.DemandLoad() / static_cast<double>(s.num_gpus()));
 }
 
 double ClusterStateIndex::NormTicketLoad(ServerId server) const {
@@ -69,12 +80,55 @@ void ClusterStateIndex::UpdateOversubscribed(ServerId server) {
   }
 }
 
+void ClusterStateIndex::UpdateOccupancyGroup(ServerId server) {
+  const double occupancy = Occupancy(server);
+  if (occupancy != occupancy_[server.value()]) {
+    LeaveOccupancyGroup(server);
+    JoinOccupancyGroup(server, occupancy);
+  }
+}
+
+void ClusterStateIndex::JoinOccupancyGroup(ServerId server, double occupancy) {
+  auto& groups =
+      occupancy_groups_[cluster::GenerationIndex(cluster_.server(server).generation())];
+  auto it = std::lower_bound(
+      groups.begin(), groups.end(), occupancy,
+      [](const OccupancyGroup& group, double key) { return group.occupancy < key; });
+  if (it == groups.end() || occupancy < it->occupancy) {
+    it = groups.insert(it, OccupancyGroup{occupancy, {}});
+  }
+  occupancy_[server.value()] = occupancy;
+  occupancy_slot_[server.value()] = static_cast<uint32_t>(it->servers.size());
+  it->servers.push_back(server);
+}
+
+void ClusterStateIndex::LeaveOccupancyGroup(ServerId server) {
+  auto& groups =
+      occupancy_groups_[cluster::GenerationIndex(cluster_.server(server).generation())];
+  const double occupancy = occupancy_[server.value()];
+  auto it = std::lower_bound(
+      groups.begin(), groups.end(), occupancy,
+      [](const OccupancyGroup& group, double key) { return group.occupancy < key; });
+  GFAIR_CHECK_MSG(it != groups.end() && !(occupancy < it->occupancy),
+                  "server missing from its occupancy group");
+  std::vector<ServerId>& members = it->servers;
+  const uint32_t slot = occupancy_slot_[server.value()];
+  GFAIR_CHECK(slot < members.size() && members[slot] == server);
+  members[slot] = members.back();
+  occupancy_slot_[members[slot].value()] = slot;
+  members.pop_back();
+  if (members.empty()) {
+    groups.erase(it);
+  }
+}
+
 void ClusterStateIndex::AddJob(ServerId server, JobId id, int gang_size, double share,
                                const TicketRate* rate) {
   stride(server).AddJob(id, gang_size, share, rate);
   MarkDirty(server);
   MarkPlanDirty(server);
   UpdateOversubscribed(server);
+  UpdateOccupancyGroup(server);
 }
 
 void ClusterStateIndex::RemoveJob(ServerId server, JobId id) {
@@ -82,6 +136,7 @@ void ClusterStateIndex::RemoveJob(ServerId server, JobId id) {
   MarkDirty(server);
   MarkPlanDirty(server);
   UpdateOversubscribed(server);
+  UpdateOccupancyGroup(server);
 }
 
 void ClusterStateIndex::SetDraining(ServerId server, bool draining) {

@@ -13,7 +13,7 @@
 //    can change a ticket load go through AddJob/RemoveJob/InvalidateTicketLoad
 //    here, which mark the server's position dirty; queries flush dirty
 //    positions first. Deferring the reposition keeps a pool re-pricing O(1)
-//    per hosting job — an eager reposition would recompute each server's
+//    per hosting server — an eager reposition would recompute each server's
 //    whole ticket load on every invalidation, re-creating the quadratic
 //    refresh this index removes. stride() gives raw access only for
 //    operations that cannot change loads (Charge, SelectForQuantum, reads).
@@ -32,6 +32,20 @@
 //    smaller wins" linear scan and a walk of this set agree on the winner —
 //    which keeps index-backed least-loaded queries decision-identical to the
 //    pre-index linear scans.
+//  * Per pool, servers are grouped by occupancy, the double
+//    min(1, DemandLoad / num_gpus) that placement ranks servers by first.
+//    Groups ascend by occupancy and only non-empty groups exist. Each is a
+//    contiguous array of server ids in no particular order: removal swaps
+//    the last member into the leaver's slot, and each server's slot is
+//    kept. AddJob/RemoveJob move a server only when its occupancy changes.
+//    Placement walks the groups from the lowest and reads ticket loads only
+//    in the first group holding an eligible server. That is exactly the
+//    pre-index linear scan, which compared occupancies within 1e-9:
+//    occupancies are small rationals d/g, two different ones differ by at
+//    least 1/(g1*g2), and with at most kMaxServerGpus GPUs per server
+//    (CHECKed at construction) that gap, >= 6e-8, dwarfs the tolerance. So
+//    the scan's comparisons were exact, and equal rationals (2/4 and 4/8)
+//    are equal doubles that share a group.
 #ifndef GFAIR_SCHED_CLUSTER_STATE_INDEX_H_
 #define GFAIR_SCHED_CLUSTER_STATE_INDEX_H_
 
@@ -49,6 +63,9 @@ namespace gfair::sched {
 
 class ClusterStateIndex {
  public:
+  // Largest server the occupancy groups order exactly (see header comment).
+  static constexpr int kMaxServerGpus = 4096;
+
   ClusterStateIndex(const cluster::Cluster& cluster, const StrideConfig& stride_config);
 
   // --- per-server stride access ---
@@ -138,6 +155,32 @@ class ClusterStateIndex {
   const std::set<ServerId>& oversubscribed(cluster::GpuGeneration gen) const {
     return oversubscribed_[cluster::GenerationIndex(gen)];
   }
+  // True when some pool has an oversubscribed server (a steal donor).
+  bool AnyOversubscribed() const {
+    for (const auto& pool : oversubscribed_) {
+      if (!pool.empty()) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // A server's occupancy: min(1, resident GPU demand / GPUs), its group key.
+  double Occupancy(ServerId server) const;
+  // One occupancy group of a pool (see header comment).
+  struct OccupancyGroup {
+    double occupancy;
+    std::vector<ServerId> servers;  // unordered
+  };
+  // The pool's non-empty occupancy groups, ascending by occupancy.
+  const std::vector<OccupancyGroup>& occupancy_groups(cluster::GpuGeneration gen) const {
+    return occupancy_groups_[cluster::GenerationIndex(gen)];
+  }
+  // The server's position in its group's `servers` (what swap-remove keeps).
+  uint32_t occupancy_slot(ServerId server) const {
+    GFAIR_CHECK(server.valid() && server.value() < occupancy_slot_.size());
+    return occupancy_slot_[server.value()];
+  }
 
   size_t num_servers() const { return strides_.size(); }
 
@@ -146,6 +189,10 @@ class ClusterStateIndex {
   // Moves `server` into or out of its pool's oversubscribed set after a
   // membership change.
   void UpdateOversubscribed(ServerId server);
+  // Moves `server` to the group of its current occupancy if that changed.
+  void UpdateOccupancyGroup(ServerId server);
+  void JoinOccupancyGroup(ServerId server, double occupancy);
+  void LeaveOccupancyGroup(ServerId server);
   void MarkPlanDirty(ServerId server) { plan_dirty_[server.value()] = 1; }
   // Repositions every dirty server in its pool's ordered set.
   void Flush() const;
@@ -160,6 +207,9 @@ class ClusterStateIndex {
   // uint8_t, not vector<bool>: read once per server per quantum.
   std::vector<uint8_t> plan_dirty_;
   cluster::PerGeneration<std::set<ServerId>> oversubscribed_;
+  cluster::PerGeneration<std::vector<OccupancyGroup>> occupancy_groups_;
+  std::vector<double> occupancy_;         // the key of each server's group
+  std::vector<uint32_t> occupancy_slot_;  // its position in that group
 
   // Lazily-maintained pool orderings (see header comment).
   mutable std::vector<double> load_key_;  // key currently in the pool set

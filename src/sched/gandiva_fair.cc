@@ -329,7 +329,9 @@ void GandivaFairScheduler::QuantumTick() {
   // it finishes now, before stealing or anything else can resume or move it.
   env_.exec.FinishSuspendedAtFinish();
 
-  if (config_.enable_work_stealing) {
+  // TrySteal takes only from oversubscribed servers and changes nothing
+  // unless it steals, so with no donor anywhere the walk is skipped.
+  if (config_.enable_work_stealing && index_.AnyOversubscribed()) {
     for (const auto& server : env_.cluster.servers()) {
       if (server.up() && server.num_free() > 0) {
         placement_.TrySteal(server.id());
@@ -509,7 +511,7 @@ void GandivaFairScheduler::AttachResident(JobId id, ServerId server) {
   Job& job = env_.jobs.Get(id);
   residency_.Info(id).home = server;
   const GpuGeneration gen = GenOf(server);
-  residency_.Attach(job.user, gen, id);
+  residency_.Attach(job.user, gen, id, server);
   index_.AddJob(server, id, job.gang_size, ResidencyIndex::ShareOf(job),
                 &residency_.PoolRate(job.user, gen));
   RefreshPoolTickets(job.user, gen);
@@ -532,7 +534,7 @@ void GandivaFairScheduler::DetachResident(JobId id) {
   ResidencyIndex::JobInfo& info = residency_.Info(id);
   GFAIR_CHECK(info.home.valid());
   const GpuGeneration gen = GenOf(info.home);
-  residency_.Detach(job.user, gen, id);
+  residency_.Detach(job.user, gen, id, info.home);
   index_.RemoveJob(info.home, id);
   RefreshPoolTickets(job.user, gen);
   ledger_.RecordDemandChange(job.user, gen, env_.sim.Now(), -job.gang_size);
@@ -633,17 +635,20 @@ Tickets GandivaFairScheduler::PerJobTickets(UserId user, GpuGeneration gen,
 }
 
 void GandivaFairScheduler::RefreshPoolTickets(UserId user, GpuGeneration gen) {
-  const std::vector<JobId>& pool_jobs = residency_.PoolJobs(user, gen);
-  if (pool_jobs.empty()) {
-    return;
+  const std::vector<ResidencyIndex::Host>& hosts = residency_.PoolHosts(user, gen);
+  if (hosts.empty()) {
+    return;  // the pool holds none of the user's jobs
   }
   // Publish the pool's rate once: every resident entry of the pool derives
   // its tickets from it on read. What goes stale is each hosting server's
   // cached ticket load and pool position — not its plan (tickets are not
-  // part of the selection key or the planner's skip condition).
+  // part of the selection key or the planner's skip condition). Each
+  // hosting server is invalidated once, however many of the pool's jobs it
+  // holds; the order is immaterial, since the pool ordering repositions
+  // stale servers into an ordered set.
   residency_.PoolRate(user, gen) = CurrentRate(user, gen);
-  for (JobId id : pool_jobs) {
-    index_.InvalidateTicketLoad(residency_.Info(id).home);
+  for (const ResidencyIndex::Host& host : hosts) {
+    index_.InvalidateTicketLoad(host.server);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "sched/invariant_checker.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "cluster/cluster.h"
@@ -34,6 +35,7 @@ const std::vector<InvariantChecker::Registration>& InvariantChecker::Registry() 
       {"down-holds-nothing", &InvariantChecker::CheckDownServersHoldNothing},
       {"gpu-time-conservation", &InvariantChecker::CheckGpuTimeConservation},
       {"ticket-derivation", &InvariantChecker::CheckTicketDerivation},
+      {"index-recount", &InvariantChecker::CheckIndexRecount},
   };
   return kRegistry;
 }
@@ -259,6 +261,65 @@ void InvariantChecker::CheckTicketDerivation(std::vector<std::string>* out) cons
       if (key != index.NormTicketLoad(sid)) {
         out->push_back(Describe("pool ordering key differs from the server's load",
                                 JobId::Invalid(), sid));
+      }
+    }
+  }
+}
+
+void InvariantChecker::CheckIndexRecount(std::vector<std::string>* out) const {
+  const ClusterStateIndex& index = sched_.cluster_index();
+  for (cluster::GpuGeneration gen : cluster::kAllGenerations) {
+    size_t members = 0;
+    double previous = -std::numeric_limits<double>::infinity();
+    for (const ClusterStateIndex::OccupancyGroup& group : index.occupancy_groups(gen)) {
+      if (group.servers.empty() || !(previous < group.occupancy)) {
+        out->push_back("occupancy groups are not non-empty and ascending");
+      }
+      previous = group.occupancy;
+      for (size_t slot = 0; slot < group.servers.size(); ++slot) {
+        const ServerId sid = group.servers[slot];
+        if (env_.cluster.server(sid).generation() != gen ||
+            index.Occupancy(sid) != group.occupancy || index.occupancy_slot(sid) != slot) {
+          out->push_back(Describe("server outside the group of its occupancy",
+                                  JobId::Invalid(), sid));
+        }
+      }
+      members += group.servers.size();
+    }
+    if (members != env_.cluster.servers_of(gen).size()) {
+      out->push_back("occupancy groups do not hold each server of the pool once");
+    }
+  }
+
+  // Recount each (user, pool)'s hosts from its jobs' homes, then consume the
+  // counts through the hosting set: a mismatch or a duplicate host reads a
+  // wrong count, and a home left uncounted is missing from the set.
+  const ResidencyIndex& residency = sched_.residency();
+  std::vector<int> hosted(static_cast<size_t>(env_.cluster.num_servers()), 0);
+  for (const auto& user : env_.users.users()) {
+    for (cluster::GpuGeneration gen : cluster::kAllGenerations) {
+      const std::vector<JobId>& jobs = residency.PoolJobs(user.id, gen);
+      for (JobId id : jobs) {
+        const ServerId home = residency.Info(id).home;
+        if (!home.valid() || home.value() >= hosted.size()) {
+          out->push_back(Describe("pool job without a home", id, home));
+          continue;
+        }
+        ++hosted[home.value()];
+      }
+      for (const ResidencyIndex::Host& host : residency.PoolHosts(user.id, gen)) {
+        if (hosted[host.server.value()] != host.jobs) {
+          out->push_back(Describe("hosting set differs from the pool jobs' homes",
+                                  JobId::Invalid(), host.server));
+        }
+        hosted[host.server.value()] = 0;
+      }
+      for (JobId id : jobs) {
+        const ServerId home = residency.Info(id).home;
+        if (home.valid() && home.value() < hosted.size() && hosted[home.value()] != 0) {
+          out->push_back(Describe("hosting set misses a pool job's home", id, home));
+          hosted[home.value()] = 0;
+        }
       }
     }
   }

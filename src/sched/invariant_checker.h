@@ -33,6 +33,12 @@
 //                       ticket load and pool-ordering key equal fresh
 //                       recomputes — bit for bit (a stale published rate or
 //                       a missed invalidation shows up here, in Release too)
+//   index-recount       both indexes' derived memberships equal a recount
+//                       from ground truth: each server sits once in its
+//                       pool's occupancy group for its current occupancy,
+//                       at its recorded slot, and each (user, pool)'s
+//                       hosting set lists every home of the user's pool
+//                       jobs once, with the number of jobs it hosts
 //
 // Invariants are REGISTERED in a static name → method table (Registry());
 // Check() runs them all and returns human-readable violations instead of
@@ -83,6 +89,7 @@ class InvariantChecker {
   void CheckDownServersHoldNothing(std::vector<std::string>* out) const;
   void CheckGpuTimeConservation(std::vector<std::string>* out) const;
   void CheckTicketDerivation(std::vector<std::string>* out) const;
+  void CheckIndexRecount(std::vector<std::string>* out) const;
 
   const SchedulerEnv& env_;
   const GandivaFairScheduler& sched_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -35,19 +34,21 @@ void LoadBalancer::Balance() {
     // amount of local time-slicing can recover. Move waiting (suspended)
     // jobs from oversubscribed servers onto idle GPUs. The scan stays linear
     // (pending demand from this round's in-flight moves has no home in the
-    // load index) but every load read is O(1) cached.
-    std::unordered_map<ServerId, double> pending_demand;  // in-flight arrivals
+    // load index) but every load read is O(1) cached. The in-flight sums
+    // are dense scratch indexed by position in `servers`.
+    pending_demand_.assign(servers.size(), 0.0);  // in-flight arrivals
     for (int round = 0; round < config_.max_migrations_per_round; ++round) {
       ServerId src = ServerId::Invalid();
-      ServerId dst = ServerId::Invalid();
+      size_t dst = servers.size();
       double worst_overflow = 0.5;  // demand beyond capacity, in GPUs
       double best_spare = 0.999;    // idle GPUs worth of headroom
-      for (ServerId id : servers) {
+      for (size_t i = 0; i < servers.size(); ++i) {
+        const ServerId id = servers[i];
         if (index_.draining(id) || index_.down(id)) {
           continue;
         }
         const auto& server = env_.cluster.server(id);
-        const double demand = index_.stride(id).DemandLoad() + pending_demand[id];
+        const double demand = index_.stride(id).DemandLoad() + pending_demand_[i];
         const double overflow = demand - server.num_gpus();
         const double spare = server.num_gpus() - demand;
         if (overflow > worst_overflow) {
@@ -56,10 +57,10 @@ void LoadBalancer::Balance() {
         }
         if (spare > best_spare) {
           best_spare = spare;
-          dst = id;
+          dst = i;
         }
       }
-      if (!src.valid() || !dst.valid()) {
+      if (!src.valid() || dst == servers.size()) {
         break;
       }
       // Largest suspended gang that fits the destination's headroom.
@@ -83,28 +84,30 @@ void LoadBalancer::Balance() {
       if (!candidate.valid()) {
         break;
       }
-      pending_demand[dst] += candidate_gang;
-      host_.EmitMigration(candidate, dst, MigrationCause::kConserve);
+      pending_demand_[dst] += candidate_gang;
+      host_.EmitMigration(candidate, servers[dst], MigrationCause::kConserve);
     }
 
     // Pass 2 — fairness: even out per-server ticket load so every resident
     // job's stride share is realizable. Tickets already in flight toward a
-    // destination this round. Loads stay in ticket space (per-GPU normalized
-    // by a dimensionless GPU count), so the whole pass is unit-typed.
-    std::unordered_map<ServerId, Tickets> pending;
+    // destination this round, by position in `servers`. Loads stay in ticket
+    // space (per-GPU normalized by a dimensionless GPU count), so the whole
+    // pass is unit-typed.
+    pending_tickets_.assign(servers.size(), Tickets(0.0));
 
     for (int round = 0; round < config_.max_migrations_per_round; ++round) {
       ServerId max_server = ServerId::Invalid();
-      ServerId min_server = ServerId::Invalid();
+      size_t min_index = servers.size();
       Tickets max_load = -std::numeric_limits<double>::infinity();
       Tickets min_load = std::numeric_limits<double>::infinity();
       Tickets sum_load = 0.0;
-      for (ServerId id : servers) {
+      for (size_t i = 0; i < servers.size(); ++i) {
+        const ServerId id = servers[i];
         if (index_.draining(id) || index_.down(id)) {
           continue;
         }
         const double gpus = env_.cluster.server(id).num_gpus();
-        const Tickets load = (index_.stride(id).TicketLoad() + pending[id]) / gpus;
+        const Tickets load = (index_.stride(id).TicketLoad() + pending_tickets_[i]) / gpus;
         sum_load += load;
         if (load > max_load) {
           max_load = load;
@@ -112,7 +115,7 @@ void LoadBalancer::Balance() {
         }
         if (load < min_load) {
           min_load = load;
-          min_server = id;
+          min_index = i;
         }
       }
       const Tickets avg_load = sum_load / static_cast<double>(servers.size());
@@ -123,6 +126,7 @@ void LoadBalancer::Balance() {
       // Candidate = resident job on the hottest server whose move shrinks the
       // gap the most and still leaves the destination cooler than the source
       // was.
+      const ServerId min_server = servers[min_index];
       const double src_gpus = env_.cluster.server(max_server).num_gpus();
       const double dst_gpus = env_.cluster.server(min_server).num_gpus();
       JobId best = JobId::Invalid();
@@ -152,7 +156,7 @@ void LoadBalancer::Balance() {
       if (!best.valid()) {
         break;
       }
-      pending[min_server] += index_.stride(max_server).TicketsOf(best);
+      pending_tickets_[min_index] += index_.stride(max_server).TicketsOf(best);
       host_.EmitMigration(best, min_server, MigrationCause::kBalance);
     }
   }

@@ -9,6 +9,9 @@
 #ifndef GFAIR_SCHED_LOAD_BALANCER_H_
 #define GFAIR_SCHED_LOAD_BALANCER_H_
 
+#include <vector>
+
+#include "common/units.h"
 #include "sched/cluster_state_index.h"
 #include "sched/residency_index.h"
 #include "sched/scheduler_host.h"
@@ -36,6 +39,11 @@ class LoadBalancer {
   ClusterStateIndex& index_;
   ResidencyIndex& residency_;
   ISchedulerHost& host_;
+
+  // Per-pass in-flight sums, indexed by position in the pool's
+  // servers_of(gen); reassigned at the start of each pass.
+  std::vector<double> pending_demand_;
+  std::vector<Tickets> pending_tickets_;
 };
 
 }  // namespace gfair::sched

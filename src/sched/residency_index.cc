@@ -48,7 +48,22 @@ bool ResidencyIndex::DeregisterJob(JobId id, UserId user, int gang_size) {
   return false;
 }
 
-void ResidencyIndex::Attach(UserId user, cluster::GpuGeneration gen, JobId id) {
+ResidencyIndex::HostedUser* ResidencyIndex::FindHostedUser(ServerId server,
+                                                          UserId user) {
+  if (server.value() >= server_users_.size()) {
+    return nullptr;
+  }
+  for (HostedUser& hosted : server_users_[server.value()]) {
+    if (hosted.user == user) {
+      return &hosted;
+    }
+  }
+  return nullptr;
+}
+
+void ResidencyIndex::Attach(UserId user, cluster::GpuGeneration gen, JobId id,
+                            ServerId server) {
+  GFAIR_CHECK(server.valid());
   const size_t g = cluster::GenerationIndex(gen);
   UserPools& pools = user_pools_[user];
   std::vector<JobId>& jobs = pools.jobs[g];
@@ -60,9 +75,22 @@ void ResidencyIndex::Attach(UserId user, cluster::GpuGeneration gen, JobId id) {
   jobs.insert(pos, id);
   pools.resident_demand[g] += job.gang_size;
   pools.weighted_dirty[g] = true;
+
+  std::vector<Host>& hosts = pools.hosts[g];
+  if (HostedUser* hosted = FindHostedUser(server, user)) {
+    hosts[hosted->slot].jobs += 1;
+    return;
+  }
+  if (server.value() >= server_users_.size()) {
+    server_users_.resize(server.value() + 1);
+  }
+  server_users_[server.value()].push_back(
+      HostedUser{user, static_cast<uint32_t>(hosts.size())});
+  hosts.push_back(Host{server, 1});
 }
 
-void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id) {
+void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id,
+                            ServerId server) {
   const size_t g = cluster::GenerationIndex(gen);
   auto it = user_pools_.find(user);
   GFAIR_CHECK_MSG(it != user_pools_.end(), "detach for unknown user");
@@ -74,6 +102,26 @@ void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id) {
   jobs.erase(pos);
   it->second.resident_demand[g] -= jobs_.Get(id).gang_size;
   it->second.weighted_dirty[g] = true;
+
+  HostedUser* hosted = FindHostedUser(server, user);
+  GFAIR_CHECK_MSG(hosted != nullptr, "detach from a server hosting none of the user's jobs");
+  std::vector<Host>& hosts = it->second.hosts[g];
+  const uint32_t slot = hosted->slot;
+  GFAIR_CHECK(slot < hosts.size() && hosts[slot].server == server);
+  if (--hosts[slot].jobs > 0) {
+    return;
+  }
+  // The server hosts none of the user's pool jobs any more: swap-remove it
+  // from the hosting set (re-pointing the moved server's slot), then drop
+  // the user from the server's list.
+  hosts[slot] = hosts.back();
+  hosts.pop_back();
+  if (slot < hosts.size()) {
+    FindHostedUser(hosts[slot].server, user)->slot = slot;
+  }
+  std::vector<HostedUser>& users = server_users_[server.value()];
+  *hosted = users.back();
+  users.pop_back();
 }
 
 const std::vector<JobId>& ResidencyIndex::PoolJobs(UserId user,
@@ -84,6 +132,16 @@ const std::vector<JobId>& ResidencyIndex::PoolJobs(UserId user,
     return kEmpty;
   }
   return it->second.jobs[cluster::GenerationIndex(gen)];
+}
+
+const std::vector<ResidencyIndex::Host>& ResidencyIndex::PoolHosts(
+    UserId user, cluster::GpuGeneration gen) const {
+  static const std::vector<Host> kEmpty;
+  auto it = user_pools_.find(user);
+  if (it == user_pools_.end()) {
+    return kEmpty;
+  }
+  return it->second.hosts[cluster::GenerationIndex(gen)];
 }
 
 double ResidencyIndex::ResidentDemand(UserId user, cluster::GpuGeneration gen) const {

@@ -14,6 +14,13 @@
 //  * per-user per-pool published TicketRate (stride.h): the slot every
 //    resident entry of the pool reads its tickets through. The facade
 //    writes it; the address is stable for the index's lifetime,
+//  * per-user per-pool hosting sets: each server hosting at least one of
+//    the user's resident pool jobs, once, with the number it hosts. A rate
+//    re-pricing invalidates these servers' ticket loads — one visit per
+//    server, not per job. Each server also lists the users it hosts, with
+//    their slots in those sets, so Attach/Detach find their entry in
+//    O(users on the server); memory is O(hosting (user, pool, server)
+//    triples), never a cluster-sized array per user,
 //  * per-user unfinished-job counts, total outstanding demand, and the
 //    sorted active-user set.
 //
@@ -22,6 +29,7 @@
 #ifndef GFAIR_SCHED_RESIDENCY_INDEX_H_
 #define GFAIR_SCHED_RESIDENCY_INDEX_H_
 
+#include <cstdint>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -87,12 +95,23 @@ class ResidencyIndex {
   }
 
   // --- pool residency (ground truth for demand aggregates) ---
-  void Attach(UserId user, cluster::GpuGeneration gen, JobId id);
-  void Detach(UserId user, cluster::GpuGeneration gen, JobId id);
+  // `server` is the job's home, a server of pool `gen`.
+  void Attach(UserId user, cluster::GpuGeneration gen, JobId id, ServerId server);
+  void Detach(UserId user, cluster::GpuGeneration gen, JobId id, ServerId server);
   // The user's resident jobs on a pool in ascending id order; empty when the
   // user is unknown. Invalidated by Attach/Detach — callers that migrate
   // while walking must take a copy first.
   const std::vector<JobId>& PoolJobs(UserId user, cluster::GpuGeneration gen) const;
+
+  // A server hosting `jobs` >= 1 of a (user, pool)'s resident jobs.
+  struct Host {
+    ServerId server;
+    int jobs;
+  };
+  // The servers hosting the user's resident jobs on a pool, each once, in
+  // no particular order; empty when the user is unknown. Invalidated by
+  // Attach/Detach.
+  const std::vector<Host>& PoolHosts(UserId user, cluster::GpuGeneration gen) const;
 
   // A job's weighted GPU demand (gang x weight): its share of its user's
   // pool tickets and its term in WeightedResidentDemand.
@@ -130,11 +149,19 @@ class ResidencyIndex {
     // demand recompute sums this contiguous array instead of chasing every
     // job's record.
     cluster::PerGeneration<std::vector<double>> shares;
+    cluster::PerGeneration<std::vector<Host>> hosts;  // unordered
     cluster::PerGeneration<TicketRate> rate{};
     cluster::PerGeneration<double> resident_demand{};
     mutable cluster::PerGeneration<double> weighted_demand{};
     mutable cluster::PerGeneration<bool> weighted_dirty{};
   };
+
+  // A user hosted on a server, with its slot in that (user, pool)'s hosts.
+  struct HostedUser {
+    UserId user;
+    uint32_t slot;
+  };
+  HostedUser* FindHostedUser(ServerId server, UserId user);
 
   const workload::JobTable& jobs_;
   // Dense, indexed by job id; slots are created by RegisterJob and never
@@ -148,6 +175,9 @@ class ResidencyIndex {
   std::unordered_map<UserId, int> user_unfinished_jobs_;
   std::unordered_map<UserId, double> user_total_demand_;
   std::set<UserId> active_users_;
+  // Indexed by server id, grown on demand; a server's generation is fixed,
+  // so the user alone names the (user, pool) hosting set.
+  std::vector<std::vector<HostedUser>> server_users_;
 };
 
 }  // namespace gfair::sched

@@ -1,5 +1,7 @@
 #include "common/flags.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace gfair {
@@ -71,6 +73,16 @@ TEST(ArgParserTest, TryGettersRejectGarbage) {
   EXPECT_EQ(value, 34);
   double real = 0.0;
   EXPECT_FALSE(args.TryGetDouble("num", &real));
+}
+
+TEST(ArgParserTest, TryGetIntRejectsOutOfRange) {
+  const auto args = Parse({"--big", "99999999999999999999999", "--small",
+                           "-99999999999999999999999", "--max", "9223372036854775807"});
+  int64_t value = 0;
+  EXPECT_FALSE(args.TryGetInt("big", &value));
+  EXPECT_FALSE(args.TryGetInt("small", &value));
+  EXPECT_TRUE(args.TryGetInt("max", &value));
+  EXPECT_EQ(value, INT64_MAX);
 }
 
 TEST(ArgParserTest, UnconsumedFlagDetection) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -206,6 +208,81 @@ TEST(ClusterStateIndexTest, PoolOrderingStaysSorted) {
     prev = load;
   }
   EXPECT_EQ(pool.begin()->second, ServerId(1));
+}
+
+// A pool's groups as (occupancy, member ids in ascending order).
+using GroupList = std::vector<std::pair<double, std::vector<ServerId>>>;
+
+// The pool's groups, checking on the way that each member's recorded slot is
+// its position and its occupancy the group's.
+GroupList Groups(const ClusterStateIndex& index, GpuGeneration gen) {
+  GroupList groups;
+  for (const ClusterStateIndex::OccupancyGroup& group : index.occupancy_groups(gen)) {
+    for (size_t slot = 0; slot < group.servers.size(); ++slot) {
+      EXPECT_EQ(index.occupancy_slot(group.servers[slot]), slot);
+      EXPECT_EQ(index.Occupancy(group.servers[slot]), group.occupancy);
+    }
+    std::vector<ServerId> members = group.servers;
+    std::sort(members.begin(), members.end());
+    groups.emplace_back(group.occupancy, members);
+  }
+  return groups;
+}
+
+TEST(ClusterStateIndexTest, OccupancyGroupsFollowDemandAcrossServerSizes) {
+  // One V100 pool of 8-, 4- and 2-GPU servers (ids 0, 1, 2).
+  const cluster::Cluster cluster(cluster::Topology{{
+      cluster::ServerGroup{GpuGeneration::kV100, 1, 8},
+      cluster::ServerGroup{GpuGeneration::kV100, 1, 4},
+      cluster::ServerGroup{GpuGeneration::kV100, 1, 2},
+  }});
+  ClusterStateIndex index(cluster, StrideConfig{});
+  FixedRates fixed;
+  const ServerId s8(0), s4(1), s2(2);
+  EXPECT_EQ(Groups(index, GpuGeneration::kV100), (GroupList{{0.0, {s8, s4, s2}}}));
+
+  // 4/8 = 2/4 = 1/2: equal rationals across server sizes share one group.
+  index.AddJob(s8, JobId(1), 4, 1.0, fixed.Holding(1.0));
+  index.AddJob(s4, JobId(2), 2, 1.0, fixed.Holding(1.0));
+  EXPECT_EQ(Groups(index, GpuGeneration::kV100),
+            (GroupList{{0.0, {s2}}, {0.5, {s8, s4}}}));
+  index.AddJob(s2, JobId(3), 1, 1.0, fixed.Holding(1.0));
+  EXPECT_EQ(Groups(index, GpuGeneration::kV100), (GroupList{{0.5, {s8, s4, s2}}}));
+
+  // Oversubscription clamps at 1: more demand does not move the server.
+  index.AddJob(s2, JobId(4), 2, 1.0, fixed.Holding(1.0));
+  EXPECT_EQ(Groups(index, GpuGeneration::kV100), (GroupList{{0.5, {s8, s4}}, {1.0, {s2}}}));
+  const uint32_t slot = index.occupancy_slot(s2);
+  index.AddJob(s2, JobId(5), 2, 1.0, fixed.Holding(1.0));
+  EXPECT_EQ(index.occupancy_slot(s2), slot);
+  EXPECT_EQ(Groups(index, GpuGeneration::kV100), (GroupList{{0.5, {s8, s4}}, {1.0, {s2}}}));
+
+  // Removal moves a server down again; emptied groups disappear.
+  index.RemoveJob(s8, JobId(1));
+  index.AddJob(s8, JobId(6), 1, 1.0, fixed.Holding(1.0));
+  EXPECT_EQ(Groups(index, GpuGeneration::kV100),
+            (GroupList{{0.125, {s8}}, {0.5, {s4}}, {1.0, {s2}}}));
+  index.RemoveJob(s4, JobId(2));
+  EXPECT_EQ(Groups(index, GpuGeneration::kV100),
+            (GroupList{{0.0, {s4}}, {0.125, {s8}}, {1.0, {s2}}}));
+  // Other pools are untouched.
+  EXPECT_TRUE(index.occupancy_groups(GpuGeneration::kK80).empty());
+}
+
+TEST(ClusterStateIndexTest, LargestExactServerIsAccepted) {
+  const cluster::Cluster cluster(cluster::Topology{{cluster::ServerGroup{
+      GpuGeneration::kV100, 1, ClusterStateIndex::kMaxServerGpus}}});
+  ClusterStateIndex index(cluster, StrideConfig{});
+  FixedRates fixed;
+  index.AddJob(ServerId(0), JobId(1), 1, 1.0, fixed.Holding(1.0));
+  EXPECT_EQ(index.Occupancy(ServerId(0)), 1.0 / ClusterStateIndex::kMaxServerGpus);
+}
+
+TEST(ClusterStateIndexDeathTest, ServerAboveTheOccupancyBoundIsRefused) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const cluster::Cluster cluster(cluster::Topology{{cluster::ServerGroup{
+      GpuGeneration::kV100, 1, ClusterStateIndex::kMaxServerGpus + 1}}});
+  EXPECT_DEATH(ClusterStateIndex(cluster, StrideConfig{}), "kMaxServerGpus");
 }
 
 }  // namespace

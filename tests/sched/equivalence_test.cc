@@ -206,6 +206,61 @@ TEST(EquivalenceTest, SingleServerDecisionStreamMatchesLegacy) {
   ExpectIdentical(legacy, refactored);
 }
 
+// Mixed server sizes in one pool: V100 servers of 8, 4 and 2 GPUs, listed
+// interleaved so every size appears low and high in id order. Equal
+// occupancies across sizes (1/2 = 2/4 = 4/8, 1 = 2/2 = 8/8) tie, and
+// placement must break them by ticket load and then id exactly as the
+// oracle's linear scan does.
+cluster::Topology MixedSizeTopology() {
+  using cluster::GpuGeneration;
+  return cluster::Topology{{
+      {GpuGeneration::kV100, 2, 8},
+      {GpuGeneration::kV100, 2, 4},
+      {GpuGeneration::kV100, 2, 2},
+      {GpuGeneration::kV100, 2, 8},
+      {GpuGeneration::kV100, 2, 4},
+      {GpuGeneration::kV100, 2, 2},
+  }};
+}
+
+// 1/2/4/8-GPU gangs from three users (8-GPU gangs fit only the 8-GPU
+// servers), finite jobs for churn, and a drain/undrain of one 8-GPU and
+// one 4-GPU server mid-run.
+template <typename ExpT, typename SchedT>
+void MixedSizeScenario(ExpT& exp, SchedT& sched) {
+  auto& a = exp.users().Create("a", 2.0);
+  auto& b = exp.users().Create("b", 1.0);
+  auto& c = exp.users().Create("c", 1.0);
+  const UserId users[] = {a.id, b.id, c.id};
+  const char* models[] = {"DCGAN", "ResNet-50", "GRU-LM"};
+  const int gangs[] = {1, 2, 4, 1, 8, 2, 1, 4, 2, 1};
+  for (int i = 0; i < 60; ++i) {
+    exp.SubmitAt(Minutes(3 * i), users[i % 3], models[i % 3], gangs[i % 10],
+                 Hours(1 + (i % 4)));
+  }
+  exp.Run(Hours(1));
+  sched.DrainServer(ServerId(1));
+  sched.DrainServer(ServerId(3));
+  exp.Run(Hours(2) + Minutes(30));
+  sched.UndrainServer(ServerId(1));
+  sched.UndrainServer(ServerId(3));
+  exp.Run(Hours(8));
+}
+
+TEST(EquivalenceTest, MixedServerSizesDecisionStreamMatchesLegacy) {
+  ExperimentConfig config;
+  config.topology = MixedSizeTopology();
+  const GandivaFairConfig gf;
+  const RunResult legacy = RunWith<LegacyGandivaFairScheduler>(
+      config, gf, [](auto& exp, auto& s) { MixedSizeScenario(exp, s); });
+  const RunResult refactored = RunWith<GandivaFairScheduler>(
+      config, gf, [](auto& exp, auto& s) { MixedSizeScenario(exp, s); });
+  EXPECT_EQ(legacy.counts[static_cast<size_t>(DecisionType::kPlace)], 60);
+  EXPECT_GT(legacy.counts[static_cast<size_t>(DecisionType::kSuspend)], 0);
+  EXPECT_GT(legacy.migrations, 0);
+  ExpectIdentical(legacy, refactored);
+}
+
 // Fault-free E14 configuration: the paper-scale heterogeneous cluster under
 // the generated 8-user trace (same specs, generator and seed as the
 // availability bench, minus the fault injector). This is the widest surface

@@ -47,7 +47,7 @@ Experiment MakeBusyCluster() {
 
 TEST(InvariantCheckerTest, RegistryListsAllInvariants) {
   const std::vector<std::string> names = InvariantChecker::RegisteredNames();
-  ASSERT_EQ(names.size(), 7u);
+  ASSERT_EQ(names.size(), 8u);
   EXPECT_EQ(names[0], "gang-residency");
   EXPECT_EQ(names[1], "entitlement-conservation");
   EXPECT_EQ(names[2], "pass-monotonicity");
@@ -55,6 +55,7 @@ TEST(InvariantCheckerTest, RegistryListsAllInvariants) {
   EXPECT_EQ(names[4], "down-holds-nothing");
   EXPECT_EQ(names[5], "gpu-time-conservation");
   EXPECT_EQ(names[6], "ticket-derivation");
+  EXPECT_EQ(names[7], "index-recount");
 }
 
 TEST(InvariantCheckerTest, CleanThroughoutOversubscribedRun) {
@@ -162,6 +163,77 @@ TEST(InvariantCheckerTest, DetectsStaleTicketsAndMissedInvalidation) {
       << Joined(violations);
 
   rate = saved;  // restore so teardown stays consistent
+  EXPECT_TRUE(g.CheckInvariants().empty());
+}
+
+TEST(InvariantCheckerTest, DetectsServerOutsideItsOccupancyGroup) {
+  Experiment exp = MakeBusyCluster();
+  const UserId a = exp.users().Create("a").id;
+  exp.UseGandivaFair({});
+  for (int i = 0; i < 3; ++i) {
+    exp.SubmitAt(kTimeZero, a, "DCGAN", 1, Hours(10));
+  }
+  exp.Run(Minutes(5));
+  GandivaFairScheduler& g = *exp.gandiva();
+  ASSERT_TRUE(g.CheckInvariants().empty());
+
+  // Add job 0's stride entry to another server through the raw stride,
+  // bypassing the index: that server's demand changes but it stays in its
+  // old occupancy group.
+  ClusterStateIndex& index = const_cast<ClusterStateIndex&>(g.cluster_index());
+  const JobId phantom(0);
+  ServerId server = ServerId::Invalid();
+  for (const auto& candidate : exp.cluster().servers()) {
+    if (candidate.id() != exp.jobs().Get(phantom).server) {
+      server = candidate.id();
+      break;
+    }
+  }
+  ASSERT_TRUE(server.valid());
+  index.stride(server).AddJob(phantom, 1, Tickets(1.0));
+  const auto violations = g.CheckInvariants();
+  EXPECT_TRUE(AnyStartsWith(violations,
+                            "index-recount: server outside the group of its occupancy"))
+      << Joined(violations);
+
+  index.stride(server).RemoveJob(phantom);  // restore
+  EXPECT_TRUE(g.CheckInvariants().empty());
+}
+
+TEST(InvariantCheckerTest, DetectsHostingSetDrift) {
+  Experiment exp = MakeBusyCluster();
+  const UserId a = exp.users().Create("a").id;
+  exp.UseGandivaFair({});
+  for (int i = 0; i < 3; ++i) {
+    exp.SubmitAt(kTimeZero, a, "DCGAN", 1, Hours(10));
+  }
+  exp.Run(Minutes(5));
+  GandivaFairScheduler& g = *exp.gandiva();
+  ASSERT_TRUE(g.CheckInvariants().empty());
+
+  // Re-attach job 0 to the hosting set of another server of its pool
+  // behind the scheduler's back: its home and the set now disagree.
+  ResidencyIndex& residency = const_cast<ResidencyIndex&>(g.residency());
+  const JobId job(0);
+  const ServerId home = exp.jobs().Get(job).server;
+  const cluster::GpuGeneration gen = exp.cluster().server(home).generation();
+  ServerId other = ServerId::Invalid();
+  for (ServerId sid : exp.cluster().servers_of(gen)) {
+    if (sid != home) {
+      other = sid;
+      break;
+    }
+  }
+  ASSERT_TRUE(other.valid());
+  residency.Detach(a, gen, job, home);
+  residency.Attach(a, gen, job, other);
+  const auto violations = g.CheckInvariants();
+  EXPECT_TRUE(AnyStartsWith(violations,
+                            "index-recount: hosting set differs from the pool jobs' homes"))
+      << Joined(violations);
+
+  residency.Detach(a, gen, job, other);  // restore
+  residency.Attach(a, gen, job, home);
   EXPECT_TRUE(g.CheckInvariants().empty());
 }
 

@@ -16,7 +16,8 @@
 //
 // Flags:
 //   --topology   hetero200 | homog200 | "NxMxGEN[,NxMxGEN...]"   (default hetero200;
-//                N and M are decimal integers, at most 10^6 GPUs in total)
+//                N and M are decimal integers, M at most 4096 GPUs per
+//                server, at most 10^6 GPUs in total)
 //   --policy     gandiva_fair | no_trade | plain_stride | fifo | quota |
 //                greedy | sjf | las                              (default gandiva_fair)
 //   --compare    run ALL policies on the same workload
@@ -53,6 +54,7 @@
 #include "analysis/metrics.h"
 #include "common/flags.h"
 #include "common/stats.h"
+#include "sched/cluster_state_index.h"
 #include "sched/policy/allocation_policy.h"
 #include "common/table.h"
 #include "workload/trace_io.h"
@@ -142,7 +144,10 @@ std::optional<cluster::Topology> ParseTopology(const std::string& spec) {
     const auto servers = ParseCount(parts[0]);
     const auto gpus = ParseCount(parts[1]);
     // Bounding each count by the cap first keeps the product within int64.
-    if (!servers || !gpus || *servers > kMaxTopologyGpus || *gpus > kMaxTopologyGpus) {
+    // Placement orders servers by occupancy exactly only up to
+    // kMaxServerGpus GPUs per server; the scheduler CHECKs that bound.
+    if (!servers || !gpus || *servers > kMaxTopologyGpus ||
+        *gpus > sched::ClusterStateIndex::kMaxServerGpus) {
       return std::nullopt;
     }
     total_gpus += *servers * *gpus;
