@@ -67,12 +67,13 @@ BENCHMARK(BM_StrideSelectForQuantum)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 // A homogeneous cluster of 8-GPU servers running identical infinite 1-GPU
 // jobs, `jobs_per_server` per server, warmed up past its first quanta.
 // `num_users` spreads the jobs round-robin. Each attach publishes its user's
-// pool ticket rate once, but still walks that user's pool jobs to mark their
-// servers' cached loads stale (and placement then re-sums those loads), so
-// fixture build stays O(jobs^2 / users), now with a small constant — the
-// 12500-server points still submit under 256 users to keep construction
-// short, and the tick being measured is user-count-agnostic
-// (charge/sample/skip walk jobs and servers, never users).
+// pool ticket rate once and marks each server hosting that user's pool jobs
+// stale once (a walk over the user's hosting servers, not its jobs), and
+// placement then re-sums the stale loads it reads, so fixture build still
+// grows about as jobs^2 / users — the 12500-server points still submit under
+// 256 users to keep construction short, and the tick being measured is
+// user-count-agnostic (charge/sample/skip walk jobs and servers, never
+// users).
 std::unique_ptr<analysis::Experiment> MakeTickCluster(int num_servers,
                                                       int jobs_per_server,
                                                       int apply_threads = 1,

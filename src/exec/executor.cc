@@ -129,8 +129,9 @@ void Executor::ResumeWithOverlap(JobId id, SimDuration overlap_allowance) {
 
   if (id.value() >= segments_.size()) {
     segments_.resize(id.value() + 1);
+    running_.resize(id.value() + 1);
   }
-  seg.active = true;
+  running_[id.value()] = 1;
   seg.running_pos = static_cast<uint32_t>(running_list_.size());
   seg.next_sync = static_cast<uint32_t>(sync_points_.size());
   running_list_.push_back(id);
@@ -217,7 +218,7 @@ void Executor::CloseSegment(Job& job, bool cancel_finish_event) {
   running_list_[seg.running_pos] = moved;
   segments_[moved.value()].running_pos = seg.running_pos;
   running_list_.pop_back();
-  seg.active = false;
+  running_[job.id.value()] = 0;
 }
 
 void Executor::Suspend(JobId id) {
@@ -296,6 +297,7 @@ void Executor::ApplyDeltaParallel(const ApplySlice* slices, size_t num_slices,
   }
   if (max_job >= segments_.size()) {
     segments_.resize(max_job + 1);
+    running_.resize(max_job + 1);
   }
   prepared_scratch_.assign(total_ops, PreparedOp{});
 
@@ -373,9 +375,11 @@ Executor::PreparedOp Executor::PrepareResume(JobId id, SimDuration overlap_allow
       static_cast<SimDuration>(std::ceil(remaining / seg.rate * kSecond));
   seg.finish_at = seg.start + seg.warmup + work_time;
 
-  seg.active = true;  // running_pos is assigned at commit
   seg.next_sync = static_cast<uint32_t>(sync_points_.size());
   segments_[id.value()] = seg;
+  // This job's own byte (a distinct memory location from every other
+  // slice's); running_pos is assigned at commit.
+  running_[id.value()] = 1;
   job.state = JobState::kRunning;
   job.num_resumes += 1;
   job.overhead_ms += seg.warmup;
@@ -392,13 +396,13 @@ Executor::PreparedOp Executor::PrepareResume(JobId id, SimDuration overlap_allow
 Executor::PreparedOp Executor::PrepareSuspend(JobId id) {
   Job& job = jobs_.Get(id);
   GFAIR_CHECK_MSG(job.state == JobState::kRunning, "Suspend requires a running job");
+  GFAIR_CHECK_MSG(IsRunning(id), "job has no active run segment");
   RunSegment& seg = segments_[id.value()];
-  GFAIR_CHECK_MSG(seg.active, "job has no active run segment");
   PreparedOp out;
   out.done = seg.finish_at <= sim_.Now();
   out.chunk_start = FoldToNow(job, seg);
   cluster_.server(job.server).Release(job.id);
-  // seg.active flips at commit, together with the running-list edit it guards.
+  // running_ flips at commit, together with the running-list edit it guards.
 
   job.state = JobState::kSuspended;
   job.num_suspends += 1;
@@ -434,7 +438,7 @@ void Executor::CommitOp(const ScheduleOp& op, const PreparedOp& prepared) {
     running_list_[seg.running_pos] = moved;
     segments_[moved.value()].running_pos = seg.running_pos;
     running_list_.pop_back();
-    seg.active = false;
+    running_[op.job.value()] = 0;
   }
 }
 

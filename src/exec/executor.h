@@ -319,12 +319,16 @@ class Executor {
   // Precondition: the server is down.
   void RecoverServer(ServerId id);
 
+  // One byte read: the flag lives apart from the run segment, so a walk that
+  // only asks "running?" (the quantum's charge, the differ, balancing,
+  // stealing) touches one dense byte per job instead of a segment line.
   bool IsRunning(JobId id) const {
-    return id.value() < segments_.size() && segments_[id.value()].active;
+    return id.value() < running_.size() && running_[id.value()] != 0;
   }
 
-  // Cache hint for an upcoming IsRunning/SampleObservedRate on `id` in a
-  // walk over scattered job ids. No effect on behavior.
+  // Cache hint for an upcoming segment read on `id` (SampleObservedRate, a
+  // fold or a close) in a walk over scattered job ids. No effect on
+  // behavior.
   void PrefetchJobState(JobId id) const {
     if (id.value() < segments_.size()) {
       __builtin_prefetch(&segments_[id.value()]);
@@ -400,17 +404,18 @@ class Executor {
   const ExecutorConfig& config() const { return config_; }
 
  private:
-  // State of one running gang. Slots live in a dense vector indexed by job
-  // id — IsRunning and segment lookup are on the scheduler's per-quantum hot
-  // path for every resident job, where a hash probe per call dominates.
+  // State of one gang's latest run segment. Slots live in a dense vector
+  // indexed by job id (a hash probe per lookup would dominate the apply and
+  // the sample replay). Whether the segment is open is running_[id], not a
+  // field here; a closed segment's slot keeps stale values until the next
+  // resume overwrites it.
   struct RunSegment {
     SimTime start;       // start of the unfolded chunk (resume or last fold)
     SimTime finish_at;   // when the finish timer fires
     SimDuration warmup;  // no-progress prefix still ahead as of `start`
     double rate;         // mini-batches/s once warmed up
     cluster::GpuGeneration gen;
-    bool active = false;       // this job currently holds GPUs
-    uint32_t running_pos = 0;  // index into running_list_ while active
+    uint32_t running_pos = 0;  // index into running_list_ while running
     uint32_t next_sync = 0;    // first sync point not yet folded
   };
 
@@ -502,6 +507,9 @@ class Executor {
   Rng fault_rng_;
 
   std::vector<RunSegment> segments_;  // indexed by job id; see RunSegment
+  // Indexed by job id, sized with segments_: 1 while the job holds GPUs (an
+  // open segment). The only record of "running"; see IsRunning.
+  std::vector<uint8_t> running_;
   std::vector<JobId> running_list_;   // ids of active segments (swap-erase)
   // Sync point instants, ascending; a segment folds those from its
   // next_sync on. One entry per tick with running jobs.

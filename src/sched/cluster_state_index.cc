@@ -123,8 +123,8 @@ void ClusterStateIndex::LeaveOccupancyGroup(ServerId server) {
 }
 
 void ClusterStateIndex::AddJob(ServerId server, JobId id, int gang_size, double share,
-                               const TicketRate* rate) {
-  stride(server).AddJob(id, gang_size, share, rate);
+                               const TicketRate* rate, SimTime last_charge) {
+  stride(server).AddJob(id, gang_size, share, rate, last_charge);
   MarkDirty(server);
   MarkPlanDirty(server);
   UpdateOversubscribed(server);

@@ -81,9 +81,10 @@ class ClusterStateIndex {
   }
 
   // --- load-changing mutations (keep the pool ordering fresh) ---
-  // Registers a resident priced by `rate` (see LocalStrideScheduler::AddJob).
+  // Registers a resident priced by `rate`, charged through `last_charge`
+  // (see LocalStrideScheduler::AddJob).
   void AddJob(ServerId server, JobId id, int gang_size, double share,  // gfair-lint: allow(raw-double-in-sched-api) -- share is gang x weight, not a unit quantity
-              const TicketRate* rate);
+              const TicketRate* rate, SimTime last_charge = kTimeZero);
   void RemoveJob(ServerId server, JobId id);
   // A rate read by `server`'s residents changed: its cached ticket load and
   // pool position go stale. Not plan-dirty (see header comment).

@@ -364,26 +364,27 @@ void GandivaFairScheduler::ChargeServer(
   const SimTime now = env_.sim.Now();
   const std::vector<JobId>& resident = stride.ResidentJobs();
   const std::vector<uint32_t>& positions = stride.ResidentPositions();
+  // Per job, the walk reads the executor's running byte and the job's own
+  // stride entry, which holds the instant it was last charged through; the
+  // entries are contiguous, and the running bytes are one dense array.
   for (size_t i = 0; i < resident.size(); ++i) {
-    // The walk's per-job state (segment, info) is scattered by job id; hint
-    // the next job's lines while this one is charged.
-    if (i + 1 < resident.size()) {
-      env_.exec.PrefetchJobState(resident[i + 1]);
-      residency_.PrefetchInfo(resident[i + 1]);
-    }
     const JobId id = resident[i];
-    if (env_.exec.IsRunning(id)) {
-      ResidencyIndex::JobInfo& info = residency_.Info(id);
-      stride.ChargeAt(positions[i], now - info.last_charge);
-      info.last_charge = now;
-      // The profiler sample draws from the executor's single RNG stream, so
-      // it is deferred: the reduce step replays the buffered jobs in
-      // ascending server order, one draw per running job in charge order.
-      // Everything but the rate is captured here, while info is hot, so the
-      // replay touches only executor segment state per job.
-      if (trading_) {
-        pending_samples->push_back(PendingSample{id, info.model, gen, info.gang_size});
+    if (!env_.exec.IsRunning(id)) {
+      continue;
+    }
+    stride.ChargeThrough(positions[i], now);
+    // The profiler sample draws from the executor's single RNG stream, so
+    // it is deferred: the reduce step replays the buffered jobs in
+    // ascending server order, one draw per running job in charge order.
+    // Everything but the rate is captured here, so the replay touches only
+    // executor segment state per job. Only this reads the job's info, which
+    // is scattered by id: hint the next job's line while this one is read.
+    if (trading_) {
+      if (i + 1 < resident.size()) {
+        residency_.PrefetchInfo(resident[i + 1]);
       }
+      const ResidencyIndex::JobInfo& info = residency_.Info(id);
+      pending_samples->push_back(PendingSample{id, info.model, gen, info.gang_size});
     }
   }
 }
@@ -470,7 +471,7 @@ void GandivaFairScheduler::RecordAppliedOps() {
     if (op.resume) {
       decisions_.Record(now, DecisionType::kResume, op.job, ServerId::Invalid(),
                         op.server);
-      residency_.Info(op.job).last_charge = now;
+      index_.stride(op.server).SetChargedThrough(op.job, now);
     } else {
       decisions_.Record(now, DecisionType::kSuspend, op.job, op.server);
     }
@@ -497,7 +498,7 @@ void GandivaFairScheduler::FillIdleGpus(ServerId server) {
     if (host.CanFit(job.gang_size)) {
       env_.exec.Resume(id);
       decisions_.Record(now, DecisionType::kResume, id, ServerId::Invalid(), server);
-      residency_.Info(id).last_charge = now;
+      stride.SetChargedThrough(id, now);
     } else if (config_.stride.reserve_blocked_gang) {
       break;
     }
@@ -509,11 +510,15 @@ void GandivaFairScheduler::FillIdleGpus(ServerId server) {
 
 void GandivaFairScheduler::AttachResident(JobId id, ServerId server) {
   Job& job = env_.jobs.Get(id);
-  residency_.Info(id).home = server;
+  ResidencyIndex::JobInfo& info = residency_.Info(id);
+  info.home = server;
   const GpuGeneration gen = GenOf(server);
   residency_.Attach(job.user, gen, id, server);
+  // The new entry picks up the charge clock where the last residency left
+  // it. A job that lands here suspended and is orphaned before it resumes
+  // is final-charged from that instant (DetachAfterFinalCharge).
   index_.AddJob(server, id, job.gang_size, ResidencyIndex::ShareOf(job),
-                &residency_.PoolRate(job.user, gen));
+                &residency_.PoolRate(job.user, gen), info.last_charge);
   RefreshPoolTickets(job.user, gen);
   ledger_.RecordDemandChange(job.user, gen, env_.sim.Now(), job.gang_size);
 }
@@ -522,9 +527,10 @@ void GandivaFairScheduler::DetachAfterFinalCharge(JobId id) {
   const ResidencyIndex::JobInfo& info = residency_.Info(id);
   GFAIR_CHECK(info.home.valid());
   // Account the final partial quantum to the stride pass before removal.
+  // The charged-through instant stays put: DetachResident carries it.
   LocalStrideScheduler& stride = index_.stride(info.home);
   if (stride.Contains(id)) {
-    stride.Charge(id, env_.sim.Now() - info.last_charge);
+    stride.Charge(id, env_.sim.Now() - stride.ChargedThrough(id));
   }
   DetachResident(id);
 }
@@ -534,6 +540,9 @@ void GandivaFairScheduler::DetachResident(JobId id) {
   ResidencyIndex::JobInfo& info = residency_.Info(id);
   GFAIR_CHECK(info.home.valid());
   const GpuGeneration gen = GenOf(info.home);
+  // The entry's charge clock outlives the residency: the next attach seeds
+  // from it.
+  info.last_charge = index_.stride(info.home).ChargedThrough(id);
   residency_.Detach(job.user, gen, id, info.home);
   index_.RemoveJob(info.home, id);
   RefreshPoolTickets(job.user, gen);
@@ -583,7 +592,8 @@ void GandivaFairScheduler::StopAndCopy(JobId id, ServerId dest, bool precopied) 
   ResidencyIndex::JobInfo& info = residency_.Info(id);
   const ServerId source = info.home;
   if (env_.exec.IsRunning(id)) {
-    index_.stride(source).Charge(id, env_.sim.Now() - info.last_charge);
+    LocalStrideScheduler& stride = index_.stride(source);
+    stride.Charge(id, env_.sim.Now() - stride.ChargedThrough(id));
     env_.exec.Suspend(id);
   }
   DetachResident(id);

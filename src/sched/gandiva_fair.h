@@ -32,7 +32,9 @@
 //
 // Shards are contiguous server-id ranges; plan_shards = 1 is one shard
 // spanning every server. The charge walks each up server's running jobs by
-// stride entry position. Profiler samples are drawn only when trade epochs
+// stride entry position, reading per job only the executor's running byte
+// and the stride entry, which holds the instant the job was last charged
+// through. Profiler samples are drawn only when trade epochs
 // run (trading on a multi-generation cluster): the epochs are the
 // profiler's only reader. Decisions are bit-identical for any shard and
 // thread count (see DESIGN.md "Quantum pipeline", and docs/ARCHITECTURE.md
@@ -260,9 +262,11 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   // cross-shard merge, the deferred profiler-sample replay and the
   // executor's global accounting. Only this facade (and the executor, for
   // ReduceToken) can mint them, so phase violations are compile errors.
-  // Charges one up server's stride passes and, when trading_, buffers its
-  // running jobs for the reduce step's serial sample replay (the draw itself
-  // consumes the executor's single RNG stream, so it cannot run here).
+  // Charges one up server's running jobs through now (per job: the
+  // executor's running byte and the job's stride entry) and, when trading_,
+  // buffers them for the reduce step's serial sample replay (the draw itself
+  // consumes the executor's single RNG stream, so it cannot run here); only
+  // that buffering reads the jobs' JobInfo.
   void ChargeServer(ServerId server, std::vector<PendingSample>* pending_samples,
                     common::ShardToken token);
   // The per-shard phase: charge / plan-or-skip / commit / diff every up
@@ -283,8 +287,8 @@ class GandivaFairScheduler : public IScheduler, private ISchedulerHost {
   // prepare pass fans out over the tick pool only when apply_threads > 1),
   // then records the decisions.
   void ApplyMergedSlices();
-  // One DecisionLog record per applied op (in op order) and a last_charge
-  // reset per resume.
+  // One DecisionLog record per applied op (in op order); each resumed job's
+  // stride entry is marked charged through now.
   void RecordAppliedOps();
 
   // Mid-quantum work conservation (arrivals/finishes/landed migrations).

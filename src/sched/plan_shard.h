@@ -29,9 +29,10 @@
 namespace gfair::sched {
 
 // A deferred profiler sample: everything RecordSample needs except the
-// observed rate itself, captured while the job's info is cache-hot in the
-// shard's charge walk. The reduce step's serial replay then touches only
-// the executor's segment state per job.
+// observed rate itself, captured in the shard's charge walk (the walk reads
+// the job's info only for this, and only when trade epochs run). The reduce
+// step's serial replay then touches only the executor's segment state per
+// job.
 struct PendingSample {
   JobId job;
   workload::ModelId model;

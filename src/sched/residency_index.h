@@ -47,10 +47,14 @@ class ResidencyIndex {
   struct JobInfo {
     ServerId home = ServerId::Invalid();  // resident/destination server
     // Immutable copies of the job's model and gang size (set at
-    // registration). The quantum's charge-and-sample walk needs both for
-    // every running job; carrying them here — in the info line the walk
-    // already touches for last_charge — spares it a JobTable load per job.
+    // registration). When trade epochs run, the quantum's charge walk
+    // buffers a profiler sample per running job and needs both; carrying
+    // them here spares it a JobTable load per job.
     workload::ModelId model = workload::ModelId::Invalid();
+    // The charge clock between residencies. While the job is resident its
+    // stride entry holds the instant (LocalStrideScheduler::ChargeThrough);
+    // the facade saves it here at detach and seeds the next entry from it at
+    // attach, and nothing else reads or writes it.
     SimTime last_charge = kTimeZero;
     SimTime last_migration;  // initialized to "long ago"
     int gang_size = 0;

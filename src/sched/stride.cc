@@ -21,12 +21,12 @@ void LocalStrideScheduler::InvalidateAggregates(bool membership_changed) {
 }
 
 void LocalStrideScheduler::AddJob(JobId id, int gang_size, double share,
-                                  const TicketRate* rate) {
+                                  const TicketRate* rate, SimTime last_charge) {
   GFAIR_CHECK(id.valid());
   GFAIR_CHECK_MSG(gang_size >= 1 && gang_size <= num_gpus_, "gang cannot fit this server");
   GFAIR_CHECK(rate != nullptr && share > 0.0 && rate->pool_tickets > 0.0);
   GFAIR_CHECK_MSG(FindEntry(id) == entries_.end(), "job already resident");
-  entries_.emplace_back(id, Entry{gang_size, share, rate, virtual_time_});
+  entries_.push_back(Entry{id, gang_size, share, rate, virtual_time_, last_charge});
   demand_load_ += gang_size;
   InvalidateAggregates(/*membership_changed=*/true);
 }
@@ -45,7 +45,7 @@ const TicketRate* LocalStrideScheduler::OwnRate(JobId id, Tickets tickets) {
 void LocalStrideScheduler::RemoveJob(JobId id) {
   auto it = FindEntry(id);
   GFAIR_CHECK_MSG(it != entries_.end(), "RemoveJob on unknown job");
-  demand_load_ -= it->second.gang_size;
+  demand_load_ -= it->gang_size;
   if (!owned_rates_.empty()) {
     owned_rates_.erase(id);
   }
@@ -58,15 +58,21 @@ void LocalStrideScheduler::SetTickets(JobId id, Tickets tickets) {
   GFAIR_CHECK(tickets > 0.0);
   auto it = FindEntry(id);
   GFAIR_CHECK(it != entries_.end());
-  it->second.share = 1.0;
-  it->second.rate = OwnRate(id, tickets);
+  it->share = 1.0;
+  it->rate = OwnRate(id, tickets);
   InvalidateAggregates(/*membership_changed=*/false);
+}
+
+void LocalStrideScheduler::SetChargedThrough(JobId id, SimTime now) {
+  auto it = FindEntry(id);
+  GFAIR_CHECK_MSG(it != entries_.end(), "SetChargedThrough on unknown job");
+  it->last_charge = now;
 }
 
 const LocalStrideScheduler::Entry& LocalStrideScheduler::GetEntry(JobId id) const {
   auto it = FindEntry(id);
   GFAIR_CHECK_MSG(it != entries_.end(), "unknown job");
-  return it->second;
+  return *it;
 }
 
 Pass LocalStrideScheduler::PassOf(JobId id) const { return GetEntry(id).pass; }
@@ -75,7 +81,7 @@ Tickets LocalStrideScheduler::TicketsOf(JobId id) const { return GetEntry(id).ti
 
 Tickets LocalStrideScheduler::FreshTicketLoad() const {
   Tickets total = 0.0;
-  for (const auto& [id, entry] : entries_) {
+  for (const Entry& entry : entries_) {
     total += entry.tickets();
   }
   return total;
@@ -89,7 +95,7 @@ void LocalStrideScheduler::RecomputeTicketLoad() const {
 int LocalStrideScheduler::DemandLoad() const {
 #ifndef NDEBUG
   int total = 0;
-  for (const auto& [id, entry] : entries_) {
+  for (const Entry& entry : entries_) {
     total += entry.gang_size;
   }
   GFAIR_DCHECK_MSG(total == demand_load_,
@@ -102,8 +108,8 @@ const std::vector<JobId>& LocalStrideScheduler::ResidentJobs() const {
   if (resident_dirty_) {
     resident_cache_.clear();
     resident_cache_.reserve(entries_.size());
-    for (const auto& [id, entry] : entries_) {
-      resident_cache_.push_back(id);
+    for (const Entry& entry : entries_) {
+      resident_cache_.push_back(entry.id);
     }
     std::sort(resident_cache_.begin(), resident_cache_.end());
     resident_dirty_ = false;
@@ -131,8 +137,8 @@ void LocalStrideScheduler::PlanQuantum(std::vector<JobId>* out,
                                        Pass* min_runnable_pass) const {
   out->clear();
   candidates_scratch_.clear();
-  for (const auto& [id, entry] : entries_) {
-    candidates_scratch_.push_back(Candidate{entry.pass, TieOf(id, entry.gang_size)});
+  for (const Entry& entry : entries_) {
+    candidates_scratch_.push_back(Candidate{entry.pass, TieOf(entry.id, entry.gang_size)});
   }
   std::sort(candidates_scratch_.begin(), candidates_scratch_.end(),
             [](const Candidate& a, const Candidate& b) {

@@ -44,16 +44,23 @@
 // value: the entry then reads a rate {t, 1} owned by this scheduler on its
 // behalf with share 1, which reproduces t exactly — one read path for both.
 //
-// Aggregates (ticket load, demand load, the sorted resident set) are cached:
-// they are invalidated by the membership/ticket mutations (and by the rate
-// owner's InvalidateTicketLoad) and recomputed at most once per mutation
-// instead of on every read. Charging a quantum — which reads TicketLoad()
-// once per charged job — is therefore O(jobs) per server instead of
-// O(jobs²). The recompute walks `entries_` in container order — insertion
-// order, stable across platforms — so cached reads are bit-identical to
-// uncached ones. A missed invalidation (a rate changed without its hosting
-// servers being told) would leave the cache stale; the InvariantChecker's
-// ticket-derivation check compares every cached load with a fresh sum.
+// Aggregates (ticket load, demand load, the sorted resident set and its
+// entry positions) are cached: they are invalidated by the membership/ticket
+// mutations (and by the rate owner's InvalidateTicketLoad) and recomputed at
+// most once per mutation instead of on every read. Charging a quantum —
+// which reads TicketLoad() once per charged job — is therefore O(jobs) per
+// server instead of O(jobs²). The recompute walks `entries_` in container
+// order — insertion order, stable across platforms — so cached reads are
+// bit-identical to uncached ones. A missed invalidation (a rate changed
+// without its hosting servers being told) would leave the cache stale; the
+// InvariantChecker's ticket-derivation check compares every cached load with
+// a fresh sum.
+//
+// Each entry also carries the instant its job was last charged through. The
+// quantum's charge walk (ChargeThrough) therefore reads nothing but this
+// server's entries and its cached ticket load; the facade moves the instant
+// at each resume and carries it across residencies (seeded at AddJob, read
+// back before RemoveJob).
 //
 // Entries live in a flat insertion-ordered vector rather than a hash map:
 // per-server job counts are small (tens), so a linear scan over contiguous
@@ -67,7 +74,6 @@
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -108,13 +114,14 @@ class LocalStrideScheduler {
 
   // Registers a resident job priced by a published rate: its tickets are
   // rate->TicketsFor(share) on every read. Its pass starts at the current
-  // virtual time. `rate` must outlive the residency; whoever rewrites it
-  // must call InvalidateTicketLoad() on every scheduler hosting one of its
-  // jobs.
+  // virtual time, and it counts as charged through `last_charge` (the
+  // instant a previous residency left off; see ChargeThrough). `rate` must
+  // outlive the residency; whoever rewrites it must call
+  // InvalidateTicketLoad() on every scheduler hosting one of its jobs.
   void AddJob(JobId id, int gang_size, double share,  // gfair-lint: allow(raw-double-in-sched-api) -- share is gang x weight, not a unit quantity
-              const TicketRate* rate);
+              const TicketRate* rate, SimTime last_charge = kTimeZero);
   // Registers a resident job holding exactly `tickets` (an owned rate
-  // {tickets, 1} at share 1).
+  // {tickets, 1} at share 1), charged through time zero.
   void AddJob(JobId id, int gang_size, Tickets tickets);
 
   // Unregisters a job (finished or migrated away).
@@ -167,7 +174,7 @@ class LocalStrideScheduler {
   // entries.
   [[nodiscard]] Pass MinRunnablePass() const {
     Pass min_pass = Pass::Infinity();
-    for (const auto& [id, entry] : entries_) {
+    for (const Entry& entry : entries_) {
       min_pass = std::min(min_pass, entry.pass);
     }
     return min_pass;
@@ -179,18 +186,30 @@ class LocalStrideScheduler {
   // instance overwrites — copy it to hold across calls.
   [[nodiscard]] const std::vector<JobId>& SelectForQuantum();
 
-  // Charges `ms` of wall time on the job's whole gang.
+  // Charges `ms` of wall time on the job's whole gang. Leaves the entry's
+  // charged-through instant alone.
   void Charge(JobId id, SimDuration ms) {
     auto it = FindEntry(id);
     GFAIR_CHECK_MSG(it != entries_.end(), "Charge on unknown job");
     ChargeAt(static_cast<uint32_t>(it - entries_.begin()), ms);
   }
-  // Charge for the entry at `pos`, a position from ResidentPositions():
-  // the per-quantum charge walk's entry point, which spares the id lookup.
+  // The per-quantum charge of a running job, by its entry position `pos`
+  // (from ResidentPositions(), which spares the id lookup): charges the time
+  // since the entry was last charged through, then moves that instant to
+  // `now`. Reads only the entry and this scheduler's cached ticket load.
+  void ChargeThrough(uint32_t pos, SimTime now) {
+    GFAIR_DCHECK(pos < entries_.size());
+    Entry& entry = entries_[pos];
+    const SimDuration ms = now - entry.last_charge;
+    entry.last_charge = now;
+    ChargeAt(pos, ms);
+  }
+  // Charge's arithmetic for the entry at `pos`, a position from
+  // ResidentPositions().
   void ChargeAt(uint32_t pos, SimDuration ms) {
     GFAIR_CHECK(ms >= 0);
     GFAIR_DCHECK(pos < entries_.size());
-    Entry& entry = entries_[pos].second;
+    Entry& entry = entries_[pos];
     entry.pass += Stride::FromService(static_cast<double>(ms), entry.gang_size, entry.tickets());
     // Virtual time advances with delivered service per runnable ticket. This —
     // not the min-pass floor — is what keeps newcomers from perpetually
@@ -207,34 +226,44 @@ class LocalStrideScheduler {
   int GangOf(JobId id) const;
   Tickets TicketsOf(JobId id) const;
   Pass VirtualTime() const { return virtual_time_; }
+  // The instant the job's entry is charged through: the next ChargeThrough
+  // charges from here.
+  SimTime ChargedThrough(JobId id) const { return GetEntry(id).last_charge; }
+  // The job (re)starts running at `now`: nothing before it is owed.
+  void SetChargedThrough(JobId id, SimTime now);
 
   // Resident jobs sorted by id. Returns a reference to a cached vector that
   // is invalidated by AddJob/RemoveJob — callers that migrate or remove jobs
   // while iterating must take a copy first.
   [[nodiscard]] const std::vector<JobId>& ResidentJobs() const;
-  // The entry positions of ResidentJobs(), element for element (ChargeAt's
-  // argument). Cached and invalidated with it.
+  // The entry positions of ResidentJobs(), element for element (the
+  // argument of ChargeThrough and ChargeAt). Cached and invalidated with it.
   [[nodiscard]] const std::vector<uint32_t>& ResidentPositions() const;
 
  private:
+  // One resident job, 40 bytes: the id and the gang share one 8-byte word,
+  // which keeps the walks over entries (charge, ticket-load re-sums,
+  // selection) to as few cache lines as the fields allow.
   struct Entry {
+    JobId id;
     int gang_size;
     double share;             // gang x weight (1 for explicit tickets)
     const TicketRate* rate;   // published pool rate, or owned_rates_[id]
     Pass pass;
+    SimTime last_charge;      // charged through this instant
 
     Tickets tickets() const { return rate->TicketsFor(share); }
   };
-  using EntryList = std::vector<std::pair<JobId, Entry>>;
+  using EntryList = std::vector<Entry>;
 
   // Linear: a server hosts tens of jobs (see file comment).
   EntryList::iterator FindEntry(JobId id) {
     return std::find_if(entries_.begin(), entries_.end(),
-                        [id](const auto& e) { return e.first == id; });
+                        [id](const Entry& e) { return e.id == id; });
   }
   EntryList::const_iterator FindEntry(JobId id) const {
     return std::find_if(entries_.begin(), entries_.end(),
-                        [id](const auto& e) { return e.first == id; });
+                        [id](const Entry& e) { return e.id == id; });
   }
 
   const Entry& GetEntry(JobId id) const;

@@ -288,6 +288,84 @@ TEST_F(ExecutorTest, ParallelSuspendAtFinishInstantFinishesTheJob) {
   EXPECT_EQ(finished_, std::vector<JobId>{done.id});
 }
 
+TEST_F(ExecutorTest, IsRunningFollowsEveryTransition) {
+  common::ThreadPool pool(2);
+  Job& a = MakeJob("DCGAN", 2, 1e9);
+  Job& b = MakeJob("DCGAN", 2, 1e9);
+  Job& c = MakeJob("DCGAN", 2, 1e9);
+  Job& brief = MakeJob("DCGAN", 1, 16.0 * 5);  // 5 s of K80 work
+  // No job has run yet: every id reads false, whatever its array slot.
+  EXPECT_FALSE(exec_.IsRunning(a.id));
+  EXPECT_FALSE(exec_.IsRunning(JobId(1000)));
+
+  // Resume and Suspend.
+  exec_.MakeResident(a.id, K80());
+  exec_.MakeResident(b.id, K80());
+  exec_.MakeResident(c.id, V100());
+  EXPECT_FALSE(exec_.IsRunning(a.id));
+  exec_.Resume(a.id);
+  EXPECT_TRUE(exec_.IsRunning(a.id));
+  EXPECT_FALSE(exec_.IsRunning(b.id));
+  sim_.RunUntil(Seconds(10));
+  exec_.Suspend(a.id);
+  EXPECT_FALSE(exec_.IsRunning(a.id));
+
+  // ApplyDelta, both verbs.
+  exec_.ApplyDelta({{a.id, K80(), /*resume=*/true}, {b.id, K80(), /*resume=*/true}});
+  EXPECT_TRUE(exec_.IsRunning(a.id));
+  EXPECT_TRUE(exec_.IsRunning(b.id));
+  sim_.RunUntil(Seconds(20));
+  exec_.ApplyDelta({{a.id, K80(), /*resume=*/false}});
+  EXPECT_FALSE(exec_.IsRunning(a.id));
+  EXPECT_TRUE(exec_.IsRunning(b.id));
+
+  // ApplyDeltaParallel on a pool: the prepare pass sets a resume's byte,
+  // the commit pass clears a suspend's.
+  sim_.RunUntil(Seconds(30));
+  const std::vector<ScheduleOp> k80 = {{b.id, K80(), /*resume=*/false},
+                                       {a.id, K80(), /*resume=*/true}};
+  const std::vector<ScheduleOp> v100 = {{c.id, V100(), /*resume=*/true}};
+  const Executor::ApplySlice slices[] = {{k80.data(), k80.size()},
+                                         {v100.data(), v100.size()}};
+  exec_.ApplyDeltaParallel(slices, 2, &pool);
+  EXPECT_TRUE(exec_.IsRunning(a.id));
+  EXPECT_FALSE(exec_.IsRunning(b.id));
+  EXPECT_TRUE(exec_.IsRunning(c.id));
+
+  // A crash stops a running job; the suspended one stays stopped.
+  sim_.RunUntil(Seconds(40));
+  exec_.InjectCrash(a.id);
+  exec_.InjectCrash(b.id);
+  EXPECT_FALSE(exec_.IsRunning(a.id));
+  EXPECT_FALSE(exec_.IsRunning(b.id));
+
+  // A migration: stopped in flight and on landing, running once resumed.
+  exec_.Migrate(a.id, V100());
+  EXPECT_FALSE(exec_.IsRunning(a.id));
+  sim_.RunUntil(Seconds(40) + exec_.MigrateLatency(a.model) + kSecond);
+  ASSERT_EQ(migrated_, std::vector<JobId>{a.id});
+  EXPECT_FALSE(exec_.IsRunning(a.id));
+  exec_.Resume(a.id);
+  EXPECT_TRUE(exec_.IsRunning(a.id));
+
+  // A finish event closes the segment.
+  exec_.MakeResident(brief.id, K80());
+  exec_.Resume(brief.id);
+  EXPECT_TRUE(exec_.IsRunning(brief.id));
+  sim_.RunUntil(sim_.Now() + Minutes(1));
+  ASSERT_EQ(finished_, std::vector<JobId>{brief.id});
+  EXPECT_FALSE(exec_.IsRunning(brief.id));
+
+  // A server failure stops every job it ran.
+  EXPECT_TRUE(exec_.IsRunning(c.id));
+  exec_.FailServer(V100());
+  EXPECT_FALSE(exec_.IsRunning(a.id));
+  EXPECT_FALSE(exec_.IsRunning(c.id));
+
+  // Past every segment slot.
+  EXPECT_FALSE(exec_.IsRunning(JobId(static_cast<uint32_t>(jobs_.size() + 1000))));
+}
+
 TEST_F(ExecutorTest, DeathOnBadTransitions) {
   Job& job = MakeJob("DCGAN", 1, 100.0);
   EXPECT_DEATH(exec_.Resume(job.id), "suspended");

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <ostream>
@@ -384,6 +385,98 @@ TEST(GandivaFairTest, OverheadStaysSmallRelativeToQuantum) {
     total_gpu_ms += job->TotalGpuMs();
   }
   EXPECT_LT(total_overhead_ms / total_gpu_ms, 0.10);
+}
+
+// A crash between ticks ends the job's run segment without telling the
+// scheduler. The next tick must charge only what ran: the crashed job's pass
+// is unchanged, and the server's virtual time gets nothing from it.
+TEST(GandivaFairTest, CrashedJobIsNotChargedForTheNextTick) {
+  ExperimentConfig config;
+  config.topology = cluster::HomogeneousTopology(1, 8);
+  Experiment exp(config);
+  auto& a = exp.users().Create("a");
+  auto& b = exp.users().Create("b");
+  GandivaFairConfig sched_config;
+  sched_config.enable_load_balancing = false;
+  exp.UseGandivaFair(sched_config);
+  const JobId crashed = exp.SubmitAt(kTimeZero, a.id, "DCGAN", 4, Hours(100));
+  const JobId running = exp.SubmitAt(kTimeZero, b.id, "DCGAN", 4, Hours(100));
+  exp.Run(Minutes(2) + Seconds(1));  // both ran through the 2-minute tick
+  ASSERT_TRUE(exp.exec().IsRunning(crashed));
+  ASSERT_TRUE(exp.exec().IsRunning(running));
+  const ServerId server = exp.jobs().Get(crashed).server;
+  const LocalStrideScheduler& stride = exp.gandiva()->stride_for(server);
+  const Pass crashed_pass = stride.PassOf(crashed);
+  const Pass vt_before = stride.VirtualTime();
+
+  exp.exec().InjectCrash(crashed);
+  exp.Run(Minutes(3) + Seconds(1));  // the 3-minute tick
+
+  EXPECT_EQ(stride.PassOf(crashed), crashed_pass);
+  // The virtual time moved by the running job's quantum alone, then took the
+  // tick's min-pass floor.
+  const Pass charged =
+      vt_before + Stride::FromService(static_cast<double>(Minutes(1)), 4, stride.TicketLoad());
+  EXPECT_EQ(stride.VirtualTime(),
+            std::max(charged, std::min(crashed_pass, stride.PassOf(running))));
+  EXPECT_TRUE(exp.exec().IsRunning(crashed));  // the tick resumed it
+}
+
+// A job's charge clock carries across residencies. The job last ran through
+// the 2-minute tick on server A, then migrates to B and lands suspended (B's
+// GPUs are busy); B fails before any tick resumes it. Its final charge on B
+// covers the span since that tick on A, not since the landing, and moves B's
+// virtual time by exactly that charge.
+TEST(GandivaFairTest, OrphanIsFinalChargedFromItsLastChargeOnTheServerBefore) {
+  ExperimentConfig config;
+  config.topology = cluster::HomogeneousTopology(2, 4);
+  Experiment exp(config);
+  auto& a = exp.users().Create("a");
+  auto& b = exp.users().Create("b");
+  GandivaFairConfig sched_config;
+  sched_config.enable_load_balancing = false;
+  sched_config.enable_trading = false;
+  sched_config.enable_work_stealing = false;
+  exp.UseGandivaFair(sched_config);
+  // The holder (the lower id, so B's failure orphans it first) fills B; the
+  // mover runs alone on A.
+  const JobId holder = exp.SubmitAt(kTimeZero, a.id, "DCGAN", 4, Hours(100));
+  const JobId mover = exp.SubmitAt(kTimeZero, b.id, "DCGAN", 4, Hours(100));
+  exp.Run(Minutes(2) + Seconds(1));
+  const ServerId server_a = exp.jobs().Get(mover).server;
+  const ServerId server_b = exp.jobs().Get(holder).server;
+  ASSERT_NE(server_a, server_b);
+  ASSERT_TRUE(exp.exec().IsRunning(mover));
+  const SimTime last_charge_on_a = Minutes(2);
+
+  exp.gandiva()->DrainServer(server_a);  // migrates the mover to B
+  exp.Run(Minutes(2) + Seconds(20));
+  const workload::Job& job = exp.jobs().Get(mover);
+  ASSERT_EQ(job.server, server_b);
+  ASSERT_EQ(job.state, workload::JobState::kSuspended);
+
+  const LocalStrideScheduler& stride_b = exp.gandiva()->stride_for(server_b);
+  Pass vt_before;
+  Pass vt_after;
+  Tickets load = 0.0;
+  exp.exec().set_on_job_orphaned([&](JobId id) {
+    if (id == mover) {
+      // The holder has left B: the mover is its only resident.
+      vt_before = stride_b.VirtualTime();
+      load = stride_b.TicketLoad();
+    }
+    exp.gandiva()->OnJobOrphaned(id);
+    if (id == mover) {
+      vt_after = stride_b.VirtualTime();
+    }
+  });
+  const SimTime failed_at = Minutes(2) + Seconds(30);
+  exp.sim().At(failed_at, [&] { exp.exec().FailServer(server_b); });
+  exp.Run(Minutes(2) + Seconds(40));
+  ASSERT_GT(load, 0.0);
+  EXPECT_EQ(vt_after,
+            vt_before + Stride::FromService(
+                            static_cast<double>(failed_at - last_charge_on_a), 4, load));
 }
 
 }  // namespace

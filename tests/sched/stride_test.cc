@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <vector>
 
 namespace gfair::sched {
 namespace {
@@ -331,6 +334,55 @@ TEST(StrideTest, PositionWalkChargesLikeIdLookups) {
     by_pos.RemoveJob(victim);
     add(next_id++, 1 + round % 4);
   }
+}
+
+TEST(StrideTest, ChargeThroughChargesSinceTheEntrysInstant) {
+  // One scheduler charges through instants, a twin charges the same spans
+  // by explicit durations; passes and virtual time must agree bit for bit.
+  LocalStrideScheduler stride(8);
+  LocalStrideScheduler twin(8);
+  const TicketRate rate{3.0, 5.0};
+  stride.AddJob(JobId(7), 2, /*share=*/2.0, &rate, /*last_charge=*/Seconds(10));
+  twin.AddJob(JobId(7), 2, /*share=*/2.0, &rate);
+  // The explicit-ticket form starts charged through time zero.
+  stride.AddJob(JobId(3), 4, 4.0);
+  twin.AddJob(JobId(3), 4, 4.0);
+  EXPECT_EQ(stride.ChargedThrough(JobId(7)), Seconds(10));
+  EXPECT_EQ(stride.ChargedThrough(JobId(3)), kTimeZero);
+
+  const std::vector<JobId>& resident = stride.ResidentJobs();
+  const std::vector<uint32_t>& positions = stride.ResidentPositions();
+  ASSERT_EQ(resident, (std::vector<JobId>{JobId(3), JobId(7)}));
+  stride.ChargeThrough(positions[0], Seconds(70));
+  stride.ChargeThrough(positions[1], Seconds(70));
+  twin.Charge(JobId(3), Seconds(70));
+  twin.Charge(JobId(7), Seconds(60));
+  EXPECT_EQ(stride.ChargedThrough(JobId(3)), Seconds(70));
+  EXPECT_EQ(stride.ChargedThrough(JobId(7)), Seconds(70));
+  EXPECT_EQ(stride.PassOf(JobId(3)), twin.PassOf(JobId(3)));
+  EXPECT_EQ(stride.PassOf(JobId(7)), twin.PassOf(JobId(7)));
+  EXPECT_EQ(stride.VirtualTime(), twin.VirtualTime());
+  EXPECT_GT(stride.PassOf(JobId(7)), Pass());
+
+  // Charging through the same instant again is a zero-length charge: the
+  // pass and the virtual time keep every bit.
+  const auto bits = [](Pass p) { return std::bit_cast<uint64_t>(p.raw()); };
+  const uint64_t pass_bits = bits(stride.PassOf(JobId(7)));
+  const uint64_t vt_bits = bits(stride.VirtualTime());
+  stride.ChargeThrough(positions[1], Seconds(70));
+  EXPECT_EQ(bits(stride.PassOf(JobId(7))), pass_bits);
+  EXPECT_EQ(bits(stride.VirtualTime()), vt_bits);
+
+  // A resume moves the instant without charging; Charge by id leaves it.
+  stride.SetChargedThrough(JobId(3), Seconds(100));
+  EXPECT_EQ(stride.PassOf(JobId(3)), twin.PassOf(JobId(3)));
+  stride.Charge(JobId(3), Seconds(1));
+  twin.Charge(JobId(3), Seconds(1));
+  EXPECT_EQ(stride.ChargedThrough(JobId(3)), Seconds(100));
+  stride.ChargeThrough(positions[0], Seconds(130));
+  twin.Charge(JobId(3), Seconds(30));
+  EXPECT_EQ(stride.PassOf(JobId(3)), twin.PassOf(JobId(3)));
+  EXPECT_EQ(stride.VirtualTime(), twin.VirtualTime());
 }
 
 TEST(StrideDeathTest, InvalidOperations) {

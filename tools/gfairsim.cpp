@@ -29,7 +29,10 @@
 //   --gangs typical|philly|single   gang-size mix for generated jobs
 //   --diurnal A      sinusoidal day/night arrival modulation, 0<=A<1 (default 0)
 //   --trace F    load jobs from CSV (see workload/trace_io.h) instead of --user
-//   --save-trace F   write the generated trace as CSV and continue
+//   --save-trace F   write the generated trace as CSV and continue (the CSV
+//                    names each job's user but keeps no tickets or groups:
+//                    a replay gives each user 1 ticket, and a group only if
+//                    --group names it again)
 //   --quantum-s N    scheduling quantum                          (default 60)
 //   --plan-shards N  shard the tick's plan phase (decisions unchanged)
 //   --plan-threads N threads fanning the plan shards             (default 1)
@@ -396,6 +399,13 @@ int main(int argc, char** argv) {
       auto parsed = ParseUserSpec(spec, horizon);
       if (!parsed) {
         return Fail("bad --user spec '" + spec + "'");
+      }
+      // A name is the user's identity in a saved trace, in --group and in
+      // the output table, so two users may not share one.
+      for (const auto& earlier : specs) {
+        if (earlier.name == parsed->name) {
+          return Fail("duplicate --user name '" + parsed->name + "'");
+        }
       }
       parsed->gang_sizes = gangs;
       parsed->diurnal_amplitude = diurnal;
