@@ -2,36 +2,37 @@
 //
 // The shared state layer every GandivaFair subsystem operates on. It owns the
 // per-server LocalStrideScheduler instances (whose ticket/demand loads are
-// themselves cached, see stride.h), the per-server draining flags, and — the
-// piece that makes cluster-wide queries cheap — one ordered set per GPU
-// generation of that pool's servers keyed by normalized ticket load
-// (tickets per physical GPU), plus ServerId as the tie-breaker.
+// themselves cached, see stride.h), the per-server draining and down flags,
+// and the two structures that make cluster-wide load queries cheap:
+// certified ticket-load bounds and occupancy groups.
 //
 // Invariants:
-//  * By the time any ordered-set query runs, a server's position in its
-//    pool's set reflects stride(s).TicketLoad() / num_gpus(s). Mutations that
-//    can change a ticket load go through AddJob/RemoveJob/InvalidateTicketLoad
-//    here, which mark the server's position dirty; queries flush dirty
-//    positions first. Deferring the reposition keeps a pool re-pricing O(1)
-//    per hosting server — an eager reposition would recompute each server's
-//    whole ticket load on every invalidation, re-creating the quadratic
-//    refresh this index removes. stride() gives raw access only for
+//  * Per server, a dense record holds an interval [lo, hi] that contains the
+//    exact float ticket load, stride(s).FreshTicketLoad(), next to the GPU
+//    count and the draining and down flags. Mutations that can change a
+//    ticket load go through AddJob/RemoveJob/RepriceTicketLoad here, and
+//    each moves the interval by O(1) arithmetic (load_bound.h; DESIGN.md
+//    states the proof): from the cached load when the stride's cache is
+//    clean, from the current interval otherwise. After ExactTicketLoad
+//    re-sums a server, its interval is the point TicketLoad(), and a point
+//    interval is that load bit for bit. stride() gives raw access only for
 //    operations that cannot change loads (Charge, SelectForQuantum, reads).
+//  * The load queries (LeastLoadedAmong and its callers, ScanLoadSpread)
+//    scan only these records. A server whose interval cannot reach the
+//    extreme is below (or above) some other server's exact load, so it can
+//    neither win nor tie; only the others are re-summed, and the queries'
+//    tie rules then compare exact loads. Every answer is the one a linear
+//    scan of fresh sums gives.
 //  * Tickets are published per (user, pool) as a TicketRate that resident
 //    entries read (stride.h). When its owner rewrites a rate it calls
-//    InvalidateTicketLoad on each server hosting one of the pool's jobs: the
-//    cached ticket load and pool position go stale, the plan-dirty flag does
-//    not — tickets enter neither the selection key nor the planner's skip
-//    condition (quantum_planner.h), so a re-priced steady server stays
-//    skippable.
+//    RepriceTicketLoad on each server hosting one of the pool's jobs, with
+//    the share sum hosted there: the cached ticket load goes stale and the
+//    interval shifts; the plan-dirty flag does not — tickets enter neither
+//    the selection key nor the planner's skip condition (quantum_planner.h),
+//    so a re-priced steady server stays skippable.
 //  * Per pool, the ids of servers whose runnable demand exceeds their GPU
 //    count (the only possible work-stealing donors), kept in ascending order
 //    by AddJob/RemoveJob — the same order Cluster::servers_of() lists them.
-//  * Ties in the ordered set resolve to the lower ServerId. Because
-//    Cluster::servers_of() lists ids in ascending order, a "first strictly
-//    smaller wins" linear scan and a walk of this set agree on the winner —
-//    which keeps index-backed least-loaded queries decision-identical to the
-//    pre-index linear scans.
 //  * Per pool, servers are grouped by occupancy, the double
 //    min(1, DemandLoad / num_gpus) that placement ranks servers by first.
 //    Groups ascend by occupancy and only non-empty groups exist. Each is a
@@ -51,12 +52,12 @@
 
 #include <cstdint>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/check.h"
 #include "common/types.h"
+#include "sched/load_bound.h"
 #include "sched/stride.h"
 
 namespace gfair::sched {
@@ -80,25 +81,25 @@ class ClusterStateIndex {
     return strides_[server.value()];
   }
 
-  // --- load-changing mutations (keep the pool ordering fresh) ---
+  // --- load-changing mutations (keep the load bounds certified) ---
   // Registers a resident priced by `rate`, charged through `last_charge`
   // (see LocalStrideScheduler::AddJob).
   void AddJob(ServerId server, JobId id, int gang_size, double share,  // gfair-lint: allow(raw-double-in-sched-api) -- share is gang x weight, not a unit quantity
               const TicketRate* rate, SimTime last_charge = kTimeZero);
   void RemoveJob(ServerId server, JobId id);
-  // A rate read by `server`'s residents changed: its cached ticket load and
-  // pool position go stale. Not plan-dirty (see header comment).
-  void InvalidateTicketLoad(ServerId server) {
-    stride(server).InvalidateTicketLoad();
-    MarkDirty(server);
+  // A rate read by residents of `server` whose shares sum to `shares`
+  // changed as `change` says: its cached ticket load goes stale and its
+  // bounds shift. Not plan-dirty (see header comment). Inline: a re-pricing
+  // calls it once per hosting server.
+  void RepriceTicketLoad(ServerId server, const ShareSum& shares, const RateChange& change) {
+    GFAIR_CHECK(server.valid() && server.value() < strides_.size());
+    ShiftLoadBound(server, change.ShiftFor(shares), loads_[server.value()].entries);
+    strides_[server.value()].InvalidateTicketLoad();
   }
 
   // --- draining ---
   void SetDraining(ServerId server, bool draining);
-  bool draining(ServerId server) const {
-    GFAIR_CHECK(server.valid() && server.value() < draining_.size());
-    return draining_[server.value()];
-  }
+  bool draining(ServerId server) const { return server_load(server).draining != 0; }
   // True when any server is currently draining (lets periodic drain batches
   // short-circuit).
   bool AnyDraining() const { return num_draining_ > 0; }
@@ -109,10 +110,7 @@ class ClusterStateIndex {
   // state stays intact only transiently (the orphan callbacks that follow a
   // failure detach every resident job).
   void SetDown(ServerId server, bool down);
-  bool down(ServerId server) const {
-    GFAIR_CHECK(server.valid() && server.value() < down_.size());
-    return down_[server.value()];
-  }
+  bool down(ServerId server) const { return server_load(server).down != 0; }
   bool AnyDown() const { return num_down_ > 0; }
 
   // --- plan dirty-set (consumed by QuantumPlanner) ---
@@ -132,24 +130,72 @@ class ClusterStateIndex {
     plan_dirty_[server.value()] = 0;
   }
 
+  // --- load bounds ---
+  // What the load scans read per server, one 32-byte record: certified
+  // bounds lo <= stride(s).FreshTicketLoad() <= hi, the GPU count and its
+  // reciprocal, and the draining and down flags. The scans touch no stride
+  // and no cluster::Server.
+  struct ServerLoad {
+    Tickets lo;
+    Tickets hi;
+    double inv_gpus;       // fl(1 / gpus): per-GPU bounds multiply (see PerGpuLower)
+    uint32_t entries = 0;  // the stride's resident entries, which the bounds' slack scales with
+    uint16_t gpus = 0;
+    uint8_t draining = 0;
+    uint8_t down = 0;
+  };
+  const ServerLoad& server_load(ServerId server) const {
+    GFAIR_CHECK(server.valid() && server.value() < loads_.size());
+    return loads_[server.value()];
+  }
+  // The server's exact ticket load: its point bound, or else a re-sum
+  // through stride(s).TicketLoad(), after which the bound is that point.
+  Tickets ExactTicketLoad(ServerId server) const {
+    GFAIR_CHECK(server.valid() && server.value() < loads_.size());
+    return ExactTicketLoad(server.value(), &ticket_load_resums_);
+  }
+  // Re-sums readers have triggered (a stale stride cache that
+  // ExactTicketLoad re-summed). Tests read it to pin that a query's
+  // re-sums do not scale with the pool.
+  int64_t ticket_load_resums() const { return ticket_load_resums_; }
+
   // --- queries ---
-  // Normalized ticket load (tickets per physical GPU) — O(1) amortized. A
-  // bare double on purpose: it is the pool ordering key (PoolByLoad below),
-  // not a fairness quantity.
+  // Normalized ticket load (tickets per physical GPU), re-summed through the
+  // stride's cache. A bare double on purpose: a dimensionless load key.
   double NormTicketLoad(ServerId server) const;  // gfair-lint: allow(raw-double-in-sched-api)
 
-  // Least-normalized-ticket-load server of `gen` with at least `min_gpus`
-  // GPUs, not draining, and not `exclude`. O(log n) plus filtered prefix.
-  // Invalid when no server qualifies.
+  // The server of `servers` with the least (ticket load per GPU, id) among
+  // those with at least `min_gpus` GPUs, neither draining nor down, and not
+  // `exclude`. One scan of the load records; a server is re-summed only if
+  // its lower bound reaches both the least upper bound and the least exact
+  // load seen before it. Invalid when none qualifies.
+  ServerId LeastLoadedAmong(const std::vector<ServerId>& servers, int min_gpus,
+                            ServerId exclude = ServerId::Invalid()) const;
+  // The least-loaded qualifying server of the whole pool `gen`.
   ServerId LeastLoadedServer(cluster::GpuGeneration gen, int min_gpus,
                              ServerId exclude = ServerId::Invalid()) const;
+  // Placement's server choice: the least (occupancy, ticket load per GPU,
+  // id) over the pool's servers with at least `min_gpus` GPUs that are
+  // neither draining nor down — the least-loaded server of the lowest
+  // occupancy group holding one. Invalid when none qualifies.
+  ServerId LeastOccupiedServer(cluster::GpuGeneration gen, int min_gpus) const;
 
-  // The pool's (normalized load, server) pairs in ascending order.
-  using PoolByLoad = std::set<std::pair<double, ServerId>>;
-  const PoolByLoad& pool_by_load(cluster::GpuGeneration gen) const {
-    Flush();
-    return pools_by_load_[cluster::GenerationIndex(gen)];
-  }
+  // One fairness round of the load balancer over `servers` (one pool, in
+  // servers_of order), whose per-GPU load counts `pending[i]` in-flight
+  // tickets at position i: whether the spread max - min of the eligible
+  // (neither draining nor down) servers' loads is within
+  // threshold * max(average over all positions, 1e-9), and if not, the
+  // first positions holding the maximum and the minimum and those loads.
+  struct LoadSpread {
+    bool balanced = true;
+    size_t max_pos = 0;
+    size_t min_pos = 0;
+    Tickets max_load;
+    Tickets min_load;
+  };
+  LoadSpread ScanLoadSpread(const std::vector<ServerId>& servers,
+                            const std::vector<Tickets>& pending,
+                            double threshold) const;  // gfair-lint: allow(raw-double-in-sched-api) -- a dimensionless ratio
 
   // Servers of `gen` whose runnable demand exceeds their GPU count, in
   // ascending id order.
@@ -186,7 +232,64 @@ class ClusterStateIndex {
   size_t num_servers() const { return strides_.size(); }
 
  private:
-  void MarkDirty(ServerId server);
+  // Moves `server`'s bounds across an event that changes its real load by
+  // an amount within `shift` and leaves it `entries_after` entries; called
+  // before the event reaches the stride. A load of n entries is within n + 1
+  // roundings of its real value R (load_bound.h): bound R by
+  // LowerOf(lo, n + 1), add the shift, and bound the float load of the n'
+  // entries after the event from that sum, which rounded once more, by
+  // LowerOf(sum, n' + 2). UpperOf mirrors each step.
+  void ShiftLoadBound(ServerId server, LoadShift shift, uint32_t entries_after) {
+    ServerLoad& bound = loads_[server.value()];
+    if (entries_after == 0) {
+      bound.lo = bound.hi = 0.0;  // an empty server sums to exactly 0
+      bound.entries = 0;
+      return;
+    }
+    if (const Tickets* cached = strides_[server.value()].CachedTicketLoad()) {
+      bound.lo = bound.hi = *cached;  // restart from the exact load
+    }
+    const double slack_before = static_cast<double>(bound.entries + 2) * 0x1p-52;
+    const double slack_after = static_cast<double>(entries_after + 3) * 0x1p-52;
+    const Tickets real_lo = bound.lo * (1.0 - slack_before) + shift.lo;
+    const Tickets real_hi = bound.hi * (1.0 + slack_before) + shift.hi;
+    bound.lo = real_lo <= 0.0 ? Tickets(0.0) : real_lo * (1.0 - slack_after);
+    bound.hi = real_hi * (1.0 + slack_after);
+    bound.entries = entries_after;
+  }
+  // Bounds on the per-GPU load fl(fl(L + pending) / gpus) of a server whose
+  // load L lies in `bound`, by multiplying with the reciprocal: IEEE + and
+  // / are monotone, and x * (inv_gpus * (1 -+ 2^-50)) is within the four
+  // roundings that LowerOf(., 3) and UpperOf(., 3) absorb of x / gpus.
+  static Tickets PerGpuLower(const ServerLoad& bound, Tickets pending) {
+    return (bound.lo + pending) * (bound.inv_gpus * (1.0 - 0x1p-50));
+  }
+  static Tickets PerGpuUpper(const ServerLoad& bound, Tickets pending) {
+    return (bound.hi + pending) * (bound.inv_gpus * (1.0 + 0x1p-50));
+  }
+  // The same without pending tickets: fl(L / gpus).
+  static Tickets PerGpuLower(const ServerLoad& bound) {
+    return bound.lo * (bound.inv_gpus * (1.0 - 0x1p-50));
+  }
+  static Tickets PerGpuUpper(const ServerLoad& bound) {
+    return bound.hi * (bound.inv_gpus * (1.0 + 0x1p-50));
+  }
+  // ExactTicketLoad of server index `s`, counting a re-sum in `*resums` (a
+  // scan keeps its count in a local and adds it once).
+  Tickets ExactTicketLoad(size_t s, int64_t* resums) const {
+    ServerLoad& bound = loads_[s];
+    if (bound.lo != bound.hi) {
+      const LocalStrideScheduler& stride = strides_[s];
+      *resums += stride.CachedTicketLoad() == nullptr ? 1 : 0;
+      bound.lo = bound.hi = stride.TicketLoad();
+    }
+    return bound.lo;
+  }
+  // True when positions `a` and `b` of a spread scan are known, without a
+  // division, to have equal exact per-GPU loads: both bounds are the same
+  // point, over the same GPU count, with the same pending tickets.
+  bool SameExactLoad(const std::vector<ServerId>& servers, const std::vector<Tickets>& pending,
+                     size_t a, size_t b) const;
   // Moves `server` into or out of its pool's oversubscribed set after a
   // membership change.
   void UpdateOversubscribed(ServerId server);
@@ -195,15 +298,14 @@ class ClusterStateIndex {
   void JoinOccupancyGroup(ServerId server, double occupancy);
   void LeaveOccupancyGroup(ServerId server);
   void MarkPlanDirty(ServerId server) { plan_dirty_[server.value()] = 1; }
-  // Repositions every dirty server in its pool's ordered set.
-  void Flush() const;
-  void Reposition(ServerId server) const;
 
   const cluster::Cluster& cluster_;
   std::vector<LocalStrideScheduler> strides_;  // indexed by ServerId value
-  std::vector<bool> draining_;
+  // Indexed by ServerId value. Mutable: ExactTicketLoad narrows a bound to
+  // its point, which changes no answer.
+  mutable std::vector<ServerLoad> loads_;
+  mutable int64_t ticket_load_resums_ = 0;
   int num_draining_ = 0;
-  std::vector<bool> down_;
   int num_down_ = 0;
   // uint8_t, not vector<bool>: read once per server per quantum.
   std::vector<uint8_t> plan_dirty_;
@@ -212,11 +314,14 @@ class ClusterStateIndex {
   std::vector<double> occupancy_;         // the key of each server's group
   std::vector<uint32_t> occupancy_slot_;  // its position in that group
 
-  // Lazily-maintained pool orderings (see header comment).
-  mutable std::vector<double> load_key_;  // key currently in the pool set
-  mutable std::vector<bool> pos_dirty_;
-  mutable std::vector<ServerId> dirty_list_;
-  mutable cluster::PerGeneration<PoolByLoad> pools_by_load_;
+  // ScanLoadSpread's scratch: positions kept as candidates for an extreme,
+  // with the bound that kept them.
+  struct Candidate {
+    size_t at;
+    Tickets bound;
+  };
+  mutable std::vector<Candidate> low_candidates_;
+  mutable std::vector<Candidate> high_candidates_;
 };
 
 }  // namespace gfair::sched

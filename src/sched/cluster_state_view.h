@@ -7,10 +7,10 @@
 // member, or one future accessor returning a non-const reference away from
 // silently breaking reproducibility. The view makes the contract structural:
 //
-//  * it exposes ONLY the read-side queries (stride() const, loads, flags,
-//    pool orderings) — the index's mutators (AddJob, InvalidateTicketLoad,
-//    ClearPlanDirty, ...) simply do not exist on this type, so a mutation
-//    from planning code is a compile error, not a convention;
+//  * it exposes ONLY the read-side queries (stride() const, loads, flags)
+//    — the index's mutators (AddJob, RepriceTicketLoad, ClearPlanDirty,
+//    ...) simply do not exist on this type, so a mutation from planning
+//    code is a compile error, not a convention;
 //  * every accessor is const and returns by value or by const reference, so
 //    const-ness propagates through to LocalStrideScheduler and Server
 //    (deep const, not C++'s default shallow const);
@@ -56,7 +56,7 @@ class ClusterStateView {
   bool down(ServerId server) const { return index_->down(server); }
 
   // --- load queries ---
-  // Dimensionless ordering key (see ClusterStateIndex::NormTicketLoad).
+  // Dimensionless load key (see ClusterStateIndex::NormTicketLoad).
   double NormTicketLoad(ServerId server) const {  // gfair-lint: allow(raw-double-in-sched-api)
     return index_->NormTicketLoad(server);
   }

@@ -520,6 +520,11 @@ void GandivaFairScheduler::AttachResident(JobId id, ServerId server) {
   index_.AddJob(server, id, job.gang_size, ResidencyIndex::ShareOf(job),
                 &residency_.PoolRate(job.user, gen), info.last_charge);
   RefreshPoolTickets(job.user, gen);
+  // The published demand sums every resident share of the pool, this one
+  // included, so no resident reads a demand below its own share (the load
+  // bounds are tight under it; DESIGN.md).
+  GFAIR_CHECK_MSG(residency_.PoolRate(job.user, gen).pool_demand >= ResidencyIndex::ShareOf(job),
+                  "published pool demand below a resident's share");
   ledger_.RecordDemandChange(job.user, gen, env_.sim.Now(), job.gang_size);
 }
 
@@ -651,14 +656,18 @@ void GandivaFairScheduler::RefreshPoolTickets(UserId user, GpuGeneration gen) {
   }
   // Publish the pool's rate once: every resident entry of the pool derives
   // its tickets from it on read. What goes stale is each hosting server's
-  // cached ticket load and pool position — not its plan (tickets are not
-  // part of the selection key or the planner's skip condition). Each
-  // hosting server is invalidated once, however many of the pool's jobs it
-  // holds; the order is immaterial, since the pool ordering repositions
-  // stale servers into an ordered set.
-  residency_.PoolRate(user, gen) = CurrentRate(user, gen);
+  // cached ticket load — not its plan (tickets are not part of the
+  // selection key or the planner's skip condition). Each hosting server is
+  // re-priced once, however many of the pool's jobs it holds: its load
+  // bounds shift by its share sum times the change in tickets per share,
+  // measured from the rate its entries actually read until now (a pool that
+  // emptied skipped its publish, so that rate may predate the demand).
+  TicketRate& published = residency_.PoolRate(user, gen);
+  const TicketRate before = published;
+  published = CurrentRate(user, gen);
+  const RateChange change(before, published);
   for (const ResidencyIndex::Host& host : hosts) {
-    index_.InvalidateTicketLoad(host.server);
+    index_.RepriceTicketLoad(host.server, host.shares, change);
   }
 }
 

@@ -239,7 +239,10 @@ void InvariantChecker::CheckGpuTimeConservation(std::vector<std::string>* out) c
 // Tickets are published per (user, pool) and derived on read (stride.h), and
 // loads are cached behind explicit invalidation. Both must agree exactly
 // with from-scratch recomputes: per resident, the facade's PerJobTickets;
-// per server, a fresh ticket-load sum and the pool ordering's key.
+// per server, a fresh ticket-load sum equals the stride's cache when that
+// is clean and lies inside the index's certified bounds (for a point bound,
+// that is equality bit for bit: loads are never -0). Reads only: no cache is
+// filled, so the next query meets the state the scheduler left.
 void InvariantChecker::CheckTicketDerivation(std::vector<std::string>* out) const {
   const ClusterStateIndex& index = sched_.cluster_index();
   for (const auto& server : env_.cluster.servers()) {
@@ -251,17 +254,20 @@ void InvariantChecker::CheckTicketDerivation(std::vector<std::string>* out) cons
         out->push_back(Describe("resident tickets differ from the per-job split", id, sid));
       }
     }
-    if (stride.TicketLoad() != stride.FreshTicketLoad()) {
+    const Tickets fresh = stride.FreshTicketLoad();
+    const Tickets* cached = stride.CachedTicketLoad();
+    if (cached != nullptr && *cached != fresh) {
       out->push_back(
           Describe("cached ticket load differs from a fresh sum", JobId::Invalid(), sid));
     }
-  }
-  for (cluster::GpuGeneration gen : cluster::kAllGenerations) {
-    for (const auto& [key, sid] : index.pool_by_load(gen)) {
-      if (key != index.NormTicketLoad(sid)) {
-        out->push_back(Describe("pool ordering key differs from the server's load",
-                                JobId::Invalid(), sid));
-      }
+    const ClusterStateIndex::ServerLoad& bound = index.server_load(sid);
+    if (!(bound.lo <= fresh && fresh <= bound.hi)) {
+      out->push_back(Describe("fresh ticket load outside the index's certified bounds",
+                              JobId::Invalid(), sid));
+    }
+    if (bound.entries != stride.num_jobs()) {
+      out->push_back(Describe("load bound's entry count differs from the stride's",
+                              JobId::Invalid(), sid));
     }
   }
 }

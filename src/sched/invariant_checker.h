@@ -30,9 +30,10 @@
 //   ticket-derivation   every resident job's tickets equal the per-job
 //                       split recomputed from the ticket matrix and its
 //                       user's pool demand, and every server's cached
-//                       ticket load and pool-ordering key equal fresh
-//                       recomputes — bit for bit (a stale published rate or
-//                       a missed invalidation shows up here, in Release too)
+//                       ticket load (when clean) equals a fresh sum bit for
+//                       bit and the fresh sum lies inside the index's
+//                       certified load bounds (a stale published rate or a
+//                       missed invalidation shows up here, in Release too)
 //   index-recount       both indexes' derived memberships equal a recount
 //                       from ground truth: each server sits once in its
 //                       pool's occupancy group for its current occupancy,

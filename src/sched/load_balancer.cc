@@ -1,8 +1,6 @@
 #include "sched/load_balancer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -92,36 +90,21 @@ void LoadBalancer::Balance() {
     // job's stride share is realizable. Tickets already in flight toward a
     // destination this round, by position in `servers`. Loads stay in ticket
     // space (per-GPU normalized by a dimensionless GPU count), so the whole
-    // pass is unit-typed.
+    // pass is unit-typed. Each round's extremes and balance test come from
+    // one scan of the index's load bounds (ScanLoadSpread), which re-sums
+    // only the servers that can hold an extreme.
     pending_tickets_.assign(servers.size(), Tickets(0.0));
 
     for (int round = 0; round < config_.max_migrations_per_round; ++round) {
-      ServerId max_server = ServerId::Invalid();
-      size_t min_index = servers.size();
-      Tickets max_load = -std::numeric_limits<double>::infinity();
-      Tickets min_load = std::numeric_limits<double>::infinity();
-      Tickets sum_load = 0.0;
-      for (size_t i = 0; i < servers.size(); ++i) {
-        const ServerId id = servers[i];
-        if (index_.draining(id) || index_.down(id)) {
-          continue;
-        }
-        const double gpus = env_.cluster.server(id).num_gpus();
-        const Tickets load = (index_.stride(id).TicketLoad() + pending_tickets_[i]) / gpus;
-        sum_load += load;
-        if (load > max_load) {
-          max_load = load;
-          max_server = id;
-        }
-        if (load < min_load) {
-          min_load = load;
-          min_index = i;
-        }
-      }
-      const Tickets avg_load = sum_load / static_cast<double>(servers.size());
-      if (max_load - min_load <= config_.balance_threshold * std::max(avg_load, Tickets(1e-9))) {
+      const ClusterStateIndex::LoadSpread spread =
+          index_.ScanLoadSpread(servers, pending_tickets_, config_.balance_threshold);
+      if (spread.balanced) {
         break;
       }
+      const ServerId max_server = servers[spread.max_pos];
+      const size_t min_index = spread.min_pos;
+      const Tickets max_load = spread.max_load;
+      const Tickets min_load = spread.min_load;
 
       // Candidate = resident job on the hottest server whose move shrinks the
       // gap the most and still leaves the destination cooler than the source
@@ -188,7 +171,7 @@ void LoadBalancer::DrainBatch() {
         continue;  // an in-flight pre-copy will move (or release) it shortly
       }
       // Least-loaded non-draining server of the pool that fits the gang —
-      // one ordered-set walk instead of a full pool scan.
+      // one scan of the pool's load bounds.
       const ServerId dest = index_.LeastLoadedServer(gen, job.gang_size, source);
       if (!dest.valid()) {
         GFAIR_WLOG << "drain: no destination for job " << id << " at "

@@ -20,7 +20,8 @@ constexpr double kEntitlementFloor = 0.01;
 #ifndef NDEBUG
 // The pre-index server choice, kept as the Debug cross-check of the group
 // walk: a linear scan of the pool comparing occupancy within 1e-9, then
-// ticket load per GPU, first strictly smaller in id order.
+// fresh ticket load per GPU, first strictly smaller in id order. It reads
+// no cache, so it leaves every stride as it found it.
 ServerId ScanPool(const cluster::Cluster& cluster, const ClusterStateIndex& index,
                   GpuGeneration gen, int gang_size) {
   ServerId candidate = ServerId::Invalid();
@@ -33,7 +34,7 @@ ServerId ScanPool(const cluster::Cluster& cluster, const ClusterStateIndex& inde
     }
     const double gpus = server.num_gpus();
     const double demand_load = std::min(1.0, index.stride(id).DemandLoad() / gpus);
-    const Tickets ticket_load = index.stride(id).TicketLoad() / gpus;
+    const Tickets ticket_load = index.stride(id).FreshTicketLoad() / gpus;
     if (demand_load < candidate_demand - 1e-9 ||
         (demand_load < candidate_demand + 1e-9 && ticket_load < candidate_tickets)) {
       candidate_demand = demand_load;
@@ -67,7 +68,14 @@ ServerId PlacementEngine::ChoosePlacement(const Job& job) const {
     if (env_.cluster.total_gpus(gen) == 0 || !model.FitsGeneration(gen)) {
       continue;
     }
-    const ServerId candidate = LeastOccupiedServer(gen, job.gang_size);
+    // Cheapest server of the pool that can ever host the gang; residency is
+    // oversubscribed (time slicing), so "fits" means physical GPU count.
+    // While the pool has idle capacity, occupancy (resident demand per GPU)
+    // is the signal — idle GPUs must attract work. Once every server is
+    // saturated, ticket load is the signal: a new job's realized share is
+    // its tickets relative to its server's ticket density, so packing by
+    // "fewest jobs" would herd heavy-ticket users together and dilute them.
+    const ServerId candidate = index_.LeastOccupiedServer(gen, job.gang_size);
     GFAIR_DCHECK_MSG(candidate == ScanPool(env_.cluster, index_, gen, job.gang_size),
                      "occupancy groups disagree with the linear placement scan");
     if (!candidate.valid()) {
@@ -83,39 +91,6 @@ ServerId PlacementEngine::ChoosePlacement(const Job& job) const {
     }
   }
   return best_server;
-}
-
-ServerId PlacementEngine::LeastOccupiedServer(GpuGeneration gen, int gang_size) const {
-  // Cheapest server of the pool that can ever host the gang; residency is
-  // oversubscribed (time slicing), so "fits" means physical GPU count.
-  // While the pool has idle capacity, occupancy (resident demand per GPU)
-  // is the signal — idle GPUs must attract work. Once every server is
-  // saturated, ticket load is the signal: a new job's realized share is
-  // its tickets relative to its server's ticket density, so packing by
-  // "fewest jobs" would herd heavy-ticket users together and dilute them.
-  // Occupancies are exact (cluster_state_index.h), so the choice is the
-  // minimum of (occupancy, ticket load per GPU, id): the lowest group with
-  // an eligible server, then the least ticket load within it. Only that
-  // group's ticket loads are read.
-  for (const ClusterStateIndex::OccupancyGroup& group : index_.occupancy_groups(gen)) {
-    ServerId best = ServerId::Invalid();
-    Tickets best_load = std::numeric_limits<double>::infinity();
-    for (ServerId id : group.servers) {
-      const LocalStrideScheduler& stride = index_.stride(id);
-      if (stride.num_gpus() < gang_size || index_.draining(id) || index_.down(id)) {
-        continue;
-      }
-      const Tickets load = stride.TicketLoad() / static_cast<double>(stride.num_gpus());
-      if (load < best_load || (load == best_load && id < best)) {
-        best_load = load;
-        best = id;
-      }
-    }
-    if (best.valid()) {
-      return best;
-    }
-  }
-  return ServerId::Invalid();
 }
 
 void PlacementEngine::TrySteal(ServerId server) {

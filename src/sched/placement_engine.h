@@ -37,11 +37,6 @@ class PlacementEngine {
   int64_t steals_started() const { return steals_started_; }
 
  private:
-  // The pool's server with the least (occupancy, ticket load per GPU, id)
-  // among those with at least `gang_size` GPUs that are neither draining nor
-  // down; Invalid when none qualifies.
-  ServerId LeastOccupiedServer(cluster::GpuGeneration gen, int gang_size) const;
-
   const SchedulerEnv& env_;
   const GandivaFairConfig& config_;
   ClusterStateIndex& index_;

@@ -79,6 +79,7 @@ void ResidencyIndex::Attach(UserId user, cluster::GpuGeneration gen, JobId id,
   std::vector<Host>& hosts = pools.hosts[g];
   if (HostedUser* hosted = FindHostedUser(server, user)) {
     hosts[hosted->slot].jobs += 1;
+    hosts[hosted->slot].shares.Add(ShareOf(job));
     return;
   }
   if (server.value() >= server_users_.size()) {
@@ -86,7 +87,8 @@ void ResidencyIndex::Attach(UserId user, cluster::GpuGeneration gen, JobId id,
   }
   server_users_[server.value()].push_back(
       HostedUser{user, static_cast<uint32_t>(hosts.size())});
-  hosts.push_back(Host{server, 1});
+  hosts.push_back(Host{server, 1, ShareSum{}});
+  hosts.back().shares.Add(ShareOf(job));
 }
 
 void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id,
@@ -98,7 +100,9 @@ void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id,
   const auto pos = std::lower_bound(jobs.begin(), jobs.end(), id);
   GFAIR_CHECK_MSG(pos != jobs.end() && *pos == id, "detach of a job not attached");
   std::vector<double>& shares = it->second.shares[g];
-  shares.erase(shares.begin() + (pos - jobs.begin()));
+  const auto share = shares.begin() + (pos - jobs.begin());
+  const double leaving = *share;
+  shares.erase(share);
   jobs.erase(pos);
   it->second.resident_demand[g] -= jobs_.Get(id).gang_size;
   it->second.weighted_dirty[g] = true;
@@ -108,6 +112,7 @@ void ResidencyIndex::Detach(UserId user, cluster::GpuGeneration gen, JobId id,
   std::vector<Host>& hosts = it->second.hosts[g];
   const uint32_t slot = hosted->slot;
   GFAIR_CHECK(slot < hosts.size() && hosts[slot].server == server);
+  hosts[slot].shares.Remove(leaving);
   if (--hosts[slot].jobs > 0) {
     return;
   }

@@ -15,9 +15,10 @@
 //    resident entry of the pool reads its tickets through. The facade
 //    writes it; the address is stable for the index's lifetime,
 //  * per-user per-pool hosting sets: each server hosting at least one of
-//    the user's resident pool jobs, once, with the number it hosts. A rate
-//    re-pricing invalidates these servers' ticket loads — one visit per
-//    server, not per job. Each server also lists the users it hosts, with
+//    the user's resident pool jobs, once, with the number it hosts and the
+//    sum of their shares (a ShareSum, load_bound.h). A rate re-pricing
+//    shifts these servers' ticket loads by that sum — one visit per server,
+//    not per job. Each server also lists the users it hosts, with
 //    their slots in those sets, so Attach/Detach find their entry in
 //    O(users on the server); memory is O(hosting (user, pool, server)
 //    triples), never a cluster-sized array per user,
@@ -37,6 +38,7 @@
 #include "cluster/gpu.h"
 #include "common/sim_time.h"
 #include "common/types.h"
+#include "sched/load_bound.h"
 #include "sched/stride.h"
 #include "workload/job.h"
 
@@ -107,10 +109,12 @@ class ResidencyIndex {
   // while walking must take a copy first.
   const std::vector<JobId>& PoolJobs(UserId user, cluster::GpuGeneration gen) const;
 
-  // A server hosting `jobs` >= 1 of a (user, pool)'s resident jobs.
+  // A server hosting `jobs` >= 1 of a (user, pool)'s resident jobs, whose
+  // shares (gang x weight) sum to `shares`.
   struct Host {
     ServerId server;
     int jobs;
+    ShareSum shares;
   };
   // The servers hosting the user's resident jobs on a pool, each once, in
   // no particular order; empty when the user is unknown. Invalidated by

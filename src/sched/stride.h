@@ -38,23 +38,28 @@
 // {pool_tickets, pool_demand} — and reads its tickets as
 // pool_tickets * share / max(pool_demand, share), the split-stride per-job
 // formula. Re-pricing a user's pool is therefore one rate write by the owner
-// plus an InvalidateTicketLoad() on each hosting server, instead of a
-// per-job SetTickets. Callers with explicit per-job tickets (tests, the
+// plus one ClusterStateIndex::RepriceTicketLoad (which calls
+// InvalidateTicketLoad()) per hosting server, instead of a per-job
+// SetTickets. Callers with explicit per-job tickets (tests, the
 // frozen oracle, microbenchmarks) use AddJob/SetTickets with a Tickets
 // value: the entry then reads a rate {t, 1} owned by this scheduler on its
 // behalf with share 1, which reproduces t exactly — one read path for both.
 //
 // Aggregates (ticket load, demand load, the sorted resident set and its
 // entry positions) are cached: they are invalidated by the membership/ticket
-// mutations (and by the rate owner's InvalidateTicketLoad) and recomputed at
-// most once per mutation instead of on every read. Charging a quantum —
-// which reads TicketLoad() once per charged job — is therefore O(jobs) per
-// server instead of O(jobs²). The recompute walks `entries_` in container
-// order — insertion order, stable across platforms — so cached reads are
-// bit-identical to uncached ones. A missed invalidation (a rate changed
-// without its hosting servers being told) would leave the cache stale; the
-// InvariantChecker's ticket-derivation check compares every cached load with
-// a fresh sum.
+// mutations (and by the rate owner's re-pricing) and recomputed at most once
+// per mutation instead of on every read. Charging a quantum — which reads
+// TicketLoad() once per charged job — is therefore O(jobs) per server
+// instead of O(jobs²). The recompute walks `entries_` in container order —
+// insertion order, stable across platforms — so cached reads are
+// bit-identical to uncached ones. This cache is the only exact ticket load:
+// the ClusterStateIndex keeps certified bounds around it per server
+// (load_bound.h), reads CachedTicketLoad() to restart them from an exact
+// value, and re-sums through TicketLoad() only the servers its load queries
+// cannot rule out. A missed invalidation (a rate changed without its hosting
+// servers being told) would leave the cache stale; the InvariantChecker's
+// ticket-derivation check compares every clean cached load with a fresh sum
+// and every fresh sum with the index's bounds.
 //
 // Each entry also carries the instant its job was last charged through. The
 // quantum's charge walk (ChargeThrough) therefore reads nothing but this
@@ -151,6 +156,11 @@ class LocalStrideScheduler {
   // The same sum recomputed from the entries, bypassing the cache — what
   // TicketLoad() must equal bit for bit (the ticket-derivation invariant).
   [[nodiscard]] Tickets FreshTicketLoad() const;
+  // The cached load when it is current, null when the next TicketLoad()
+  // would re-sum. Reads without re-summing.
+  const Tickets* CachedTicketLoad() const {
+    return ticket_load_dirty_ ? nullptr : &ticket_load_cache_;
+  }
 
   // Total GPUs demanded by resident jobs. O(1) (maintained incrementally;
   // integer arithmetic, so exact).

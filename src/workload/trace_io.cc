@@ -1,5 +1,6 @@
 #include "workload/trace_io.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -16,6 +17,9 @@ namespace gfair::workload {
 
 namespace {
 constexpr char kHeader[] = "arrival_ms,user,model,gang_size,minibatches,weight";
+// A user line: "#user,NAME,TICKETS,GROUP" (GROUP may be empty). Older
+// readers skip it as a comment.
+constexpr char kUserLine[] = "#user";
 // The longest run a row may ask for, 10^8 h: the executor times a run in
 // int64 milliseconds, and 10^8 h is ~3.6e17 ms, well inside that range.
 constexpr double kMaxRunSeconds = 1e8 * 3600.0;
@@ -43,6 +47,13 @@ bool NameIsSerializable(const std::string& name) {
 std::string SerializeTrace(const std::vector<TraceFileEntry>& entries,
                            const UserTable& users, const ModelZoo& zoo) {
   std::ostringstream out;
+  for (const User& user : users.users()) {
+    GFAIR_CHECK_MSG(NameIsSerializable(user.name) && NameIsSerializable(user.group),
+                    "user or group name contains a CSV delimiter or line break");
+    char tickets[32];
+    std::snprintf(tickets, sizeof(tickets), "%.17g", user.tickets.raw());
+    out << kUserLine << ',' << user.name << ',' << tickets << ',' << user.group << '\n';
+  }
   out << kHeader << '\n';
   for (const auto& file_entry : entries) {
     const TraceEntry& entry = file_entry.entry;
@@ -95,6 +106,7 @@ bool ParseTrace(const std::string& csv, const ModelZoo& zoo, UserTable* users,
   std::string line;
   size_t line_number = 0;
   bool saw_header = false;
+  std::vector<std::string> declared;  // names of this file's user lines
 
   auto fail = [&](const std::string& message) {
     *error = "line " + std::to_string(line_number) + ": " + message;
@@ -107,8 +119,30 @@ bool ParseTrace(const std::string& csv, const ModelZoo& zoo, UserTable* users,
     if (!line.empty() && line.back() == '\r') {
       line.pop_back();
     }
-    const std::string trimmed_probe = line;
-    if (trimmed_probe.empty() || trimmed_probe[0] == '#') {
+    if (!saw_header && line.rfind(std::string(kUserLine) + ",", 0) == 0) {
+      // A user line before the header: create the user with its tickets and
+      // group unless the table already holds one of that name.
+      const auto fields = SplitAndTrim(line, ',');
+      double tickets = 0.0;
+      if (fields.size() != 4 || fields[1].empty() || !ParsePositiveDouble(fields[2], &tickets)) {
+        return fail("bad user line '" + line + "' (expected '#user,NAME,TICKETS,GROUP')");
+      }
+      if (std::find(declared.begin(), declared.end(), fields[1]) != declared.end()) {
+        return fail("duplicate user line for '" + fields[1] + "'");
+      }
+      declared.push_back(fields[1]);
+      const bool known = std::any_of(users->users().begin(), users->users().end(),
+                                     [&](const User& user) { return user.name == fields[1]; });
+      if (!known) {
+        if (fields[3].empty()) {
+          users->Create(fields[1], tickets);
+        } else {
+          users->CreateInGroup(fields[1], fields[3], tickets);
+        }
+      }
+      continue;
+    }
+    if (line.empty() || line[0] == '#') {
       continue;
     }
     if (!saw_header) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,24 @@ class FixedRates {
   std::deque<TicketRate> rates_;
 };
 
+// The share sum of jobs holding `shares` on one server.
+ShareSum SharesOf(std::initializer_list<double> shares) {
+  ShareSum sum;
+  for (double share : shares) {
+    sum.Add(share);
+  }
+  return sum;
+}
+
+// Every server's fresh ticket load lies inside its certified bounds.
+void ExpectBoundsHold(const cluster::Cluster& cluster, const ClusterStateIndex& index) {
+  for (const auto& server : cluster.servers()) {
+    const Tickets fresh = index.stride(server.id()).FreshTicketLoad();
+    EXPECT_LE(index.server_load(server.id()).lo, fresh) << "server " << server.id();
+    EXPECT_GE(index.server_load(server.id()).hi, fresh) << "server " << server.id();
+  }
+}
+
 TEST(ClusterStateIndexTest, LeastLoadedTracksMutationsLazily) {
   const cluster::Cluster cluster = MakeCluster();
   ClusterStateIndex index(cluster, StrideConfig{});
@@ -58,8 +77,9 @@ TEST(ClusterStateIndexTest, LeastLoadedTracksMutationsLazily) {
   TicketRate rate{8.0, 4.0};
   index.AddJob(ServerId(0), JobId(4), 2, /*share=*/2.0, &rate);  // norm load 1.0
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(1));
+  const TicketRate before = rate;
   rate.pool_tickets = 0.8;  // 0.8 * 2 / 4 = 0.4 tickets, norm load 0.1
-  index.InvalidateTicketLoad(ServerId(0));
+  index.RepriceTicketLoad(ServerId(0), SharesOf({2.0}), RateChange(before, rate));
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(0));
   EXPECT_DOUBLE_EQ(index.NormTicketLoad(ServerId(0)), 0.1);
 
@@ -102,10 +122,12 @@ TEST(ClusterStateIndexTest, RepricingARateTouchesOnlyItsHostingServers) {
   // Re-price pool A (one rate write + its hosting servers), and move pool B
   // without telling anyone: server 2's cached load must still be the old
   // one, proving the refresh left it alone.
+  const TicketRate old_a = pool_a;
+  const TicketRate old_b = pool_b;
   pool_a.pool_tickets = 16.0;  // 8 tickets per job
   pool_b.pool_tickets = 0.5;
-  index.InvalidateTicketLoad(ServerId(0));
-  index.InvalidateTicketLoad(ServerId(1));
+  index.RepriceTicketLoad(ServerId(0), SharesOf({1.0}), RateChange(old_a, pool_a));
+  index.RepriceTicketLoad(ServerId(1), SharesOf({1.0}), RateChange(old_a, pool_a));
   EXPECT_EQ(index.stride(ServerId(0)).TicketLoad(), Tickets(8.0));
   EXPECT_EQ(index.stride(ServerId(1)).TicketLoad(), Tickets(8.0));
   EXPECT_EQ(index.stride(ServerId(0)).TicketsOf(JobId(1)), Tickets(8.0));
@@ -115,14 +137,12 @@ TEST(ClusterStateIndexTest, RepricingARateTouchesOnlyItsHostingServers) {
             ScanLeastLoaded(cluster, index, GpuGeneration::kV100));
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1), ServerId(2));
 
-  // Once told, server 2 re-prices and the ordering follows.
-  index.InvalidateTicketLoad(ServerId(2));
+  // Once told, server 2 re-prices and the least-loaded query follows.
+  index.RepriceTicketLoad(ServerId(2), SharesOf({1.0}), RateChange(old_b, pool_b));
   EXPECT_EQ(index.stride(ServerId(2)).TicketLoad(), Tickets(0.5));
   EXPECT_EQ(index.LeastLoadedServer(GpuGeneration::kV100, 1),
             ScanLeastLoaded(cluster, index, GpuGeneration::kV100));
-  for (const auto& [key, sid] : index.pool_by_load(GpuGeneration::kV100)) {
-    EXPECT_EQ(key, index.NormTicketLoad(sid));
-  }
+  ExpectBoundsHold(cluster, index);
 }
 
 TEST(ClusterStateIndexTest, RepricingLeavesPlanDirtyAlone) {
@@ -132,8 +152,9 @@ TEST(ClusterStateIndexTest, RepricingLeavesPlanDirtyAlone) {
   index.AddJob(ServerId(0), JobId(1), 1, /*share=*/1.0, &rate);
   EXPECT_TRUE(index.plan_dirty(ServerId(0)));  // membership changed
   index.ClearPlanDirty(ServerId(0));
+  const TicketRate before = rate;
   rate.pool_tickets = 5.0;
-  index.InvalidateTicketLoad(ServerId(0));
+  index.RepriceTicketLoad(ServerId(0), SharesOf({1.0}), RateChange(before, rate));
   EXPECT_FALSE(index.plan_dirty(ServerId(0)));
   EXPECT_EQ(index.stride(ServerId(0)).TicketLoad(), Tickets(5.0));
   index.RemoveJob(ServerId(0), JobId(1));
@@ -189,25 +210,6 @@ TEST(ClusterStateIndexTest, QueryFiltersExcludeDrainingAndCapacity) {
   // Repeated SetDraining with the same value must not skew the counter.
   index.SetDraining(ServerId(3), false);
   EXPECT_FALSE(index.AnyDraining());
-}
-
-TEST(ClusterStateIndexTest, PoolOrderingStaysSorted) {
-  const cluster::Cluster cluster = MakeCluster();
-  ClusterStateIndex index(cluster, StrideConfig{});
-  FixedRates fixed;
-  index.AddJob(ServerId(0), JobId(1), 1, 1.0, fixed.Holding(8.0));
-  index.AddJob(ServerId(1), JobId(2), 1, 1.0, fixed.Holding(2.0));
-  index.AddJob(ServerId(2), JobId(3), 1, 1.0, fixed.Holding(4.0));
-
-  const auto& pool = index.pool_by_load(GpuGeneration::kV100);
-  ASSERT_EQ(pool.size(), 3u);
-  double prev = -1.0;
-  for (const auto& [load, id] : pool) {
-    EXPECT_GE(load, prev);
-    EXPECT_DOUBLE_EQ(load, index.NormTicketLoad(id));
-    prev = load;
-  }
-  EXPECT_EQ(pool.begin()->second, ServerId(1));
 }
 
 // A pool's groups as (occupancy, member ids in ascending order).

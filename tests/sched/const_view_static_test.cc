@@ -56,10 +56,11 @@ struct HasSetDown<T, std::void_t<decltype(std::declval<T>().SetDown(
                          std::declval<ServerId>(), true))>> : std::true_type {};
 
 template <typename T, typename = void>
-struct HasInvalidateTicketLoad : std::false_type {};
+struct HasRepriceTicketLoad : std::false_type {};
 template <typename T>
-struct HasInvalidateTicketLoad<T, std::void_t<decltype(std::declval<T>().InvalidateTicketLoad(
-                                      std::declval<ServerId>()))>> : std::true_type {};
+struct HasRepriceTicketLoad<T, std::void_t<decltype(std::declval<T>().RepriceTicketLoad(
+                                   std::declval<ServerId>(), std::declval<const ShareSum&>(),
+                                   std::declval<const RateChange&>()))>> : std::true_type {};
 
 template <typename T, typename = void>
 struct HasClearPlanDirty : std::false_type {};
@@ -102,10 +103,10 @@ static_assert(!HasSetDown<const ClusterStateView&>::value,
               "the view must not expose SetDown");
 static_assert(!HasClearPlanDirty<const ClusterStateView&>::value,
               "the view must not expose ClearPlanDirty");
-static_assert(!HasInvalidateTicketLoad<const ClusterStateView&>::value,
-              "the view must not expose InvalidateTicketLoad");
+static_assert(!HasRepriceTicketLoad<const ClusterStateView&>::value,
+              "the view must not expose RepriceTicketLoad");
 static_assert(HasSetDown<ClusterStateIndex&>::value);
-static_assert(HasInvalidateTicketLoad<ClusterStateIndex&>::value);
+static_assert(HasRepriceTicketLoad<ClusterStateIndex&>::value);
 static_assert(HasClearPlanDirty<ClusterStateIndex&>::value);
 
 // The view is a value type: two pointers, trivially copyable, cheap to pass

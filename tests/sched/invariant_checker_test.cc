@@ -3,6 +3,7 @@
 // (seeded violations via direct state mutation behind the scheduler's back).
 #include "sched/invariant_checker.h"
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -142,7 +143,12 @@ TEST(InvariantCheckerTest, DetectsStaleTicketsAndMissedInvalidation) {
   }
   exp.Run(Minutes(5));
   GandivaFairScheduler& g = *exp.gandiva();
-  ASSERT_TRUE(g.CheckInvariants().empty());  // also leaves every load cached
+  ASSERT_TRUE(g.CheckInvariants().empty());
+  // The checker fills no cache, so fill every server's here: a cached load
+  // is what a missed invalidation leaves stale.
+  for (const auto& server : exp.cluster().servers()) {
+    (void)g.cluster_index().stride(server.id()).TicketLoad();
+  }
 
   // Re-price the user's pool behind the scheduler's back: the rate moves but
   // no hosting server is told, so residents disagree with the per-job split
@@ -163,6 +169,43 @@ TEST(InvariantCheckerTest, DetectsStaleTicketsAndMissedInvalidation) {
       << Joined(violations);
 
   rate = saved;  // restore so teardown stays consistent
+  EXPECT_TRUE(g.CheckInvariants().empty());
+}
+
+TEST(InvariantCheckerTest, DetectsLoadOutsideItsCertifiedBounds) {
+  Experiment exp = MakeBusyCluster();
+  const UserId a = exp.users().Create("a").id;
+  exp.UseGandivaFair({});
+  for (int i = 0; i < 6; ++i) {
+    exp.SubmitAt(kTimeZero, a, "DCGAN", 1, Hours(10));
+  }
+  exp.Run(Minutes(5));
+  GandivaFairScheduler& g = *exp.gandiva();
+  ASSERT_TRUE(g.CheckInvariants().empty());
+
+  // Tell one hosting server that its rate tripled when it did not: its
+  // bounds move off the load its stride still sums.
+  const ServerId home = exp.jobs().Get(JobId(0)).server;
+  const cluster::GpuGeneration gen = exp.cluster().server(home).generation();
+  ClusterStateIndex& index = const_cast<ClusterStateIndex&>(g.cluster_index());
+  const TicketRate rate = const_cast<ResidencyIndex&>(g.residency()).PoolRate(a, gen);
+  TicketRate tripled = rate;
+  tripled.pool_tickets = rate.pool_tickets * 3.0;
+  ShareSum shares;
+  shares.Add(1.0);
+  index.RepriceTicketLoad(home, shares, RateChange(rate, tripled));
+  std::ostringstream server;
+  server << "server " << home << ")";
+  const auto violations = g.CheckInvariants();
+  bool named = false;
+  for (const std::string& v : violations) {
+    named |= v.rfind("ticket-derivation: fresh ticket load outside the index's certified bounds", 0) == 0 &&
+             v.find(server.str()) != std::string::npos;
+  }
+  EXPECT_TRUE(named) << Joined(violations);
+
+  // Moving the bounds back by the inverse change restores them.
+  index.RepriceTicketLoad(home, shares, RateChange(tripled, rate));
   EXPECT_TRUE(g.CheckInvariants().empty());
 }
 

@@ -33,6 +33,75 @@ TEST(TraceIoTest, RoundTrip) {
   EXPECT_NEAR(parsed[1].weight, 3.0, 1e-6);
 }
 
+TEST(TraceIoTest, RoundTripKeepsTicketsAndGroups) {
+  const ModelZoo& zoo = ModelZoo::Default();
+  UserTable users;
+  const UserId alice = users.CreateInGroup("alice", "team", 2.5).id;
+  const UserId bob = users.Create("bob", 1.0 / 3.0).id;
+  std::vector<TraceFileEntry> original;
+  // Bob's job comes first; the user lines still restore the table's order.
+  original.push_back({TraceEntry{bob, zoo.GetByName("VAE").id, 1, 10.0, kTimeZero}, 1.0});
+  original.push_back({TraceEntry{alice, zoo.GetByName("VAE").id, 2, 20.0, Minutes(1)}, 1.0});
+
+  UserTable parsed_users;
+  std::vector<TraceFileEntry> parsed;
+  std::string error;
+  ASSERT_TRUE(ParseTrace(SerializeTrace(original, users, zoo), zoo, &parsed_users, &parsed,
+                         &error))
+      << error;
+  ASSERT_EQ(parsed_users.size(), 2u);
+  EXPECT_EQ(parsed_users.Get(alice).name, "alice");
+  EXPECT_EQ(parsed_users.Get(alice).group, "team");
+  EXPECT_EQ(parsed_users.Get(alice).tickets, Tickets(2.5));
+  EXPECT_EQ(parsed_users.Get(bob).name, "bob");
+  EXPECT_EQ(parsed_users.Get(bob).group, "");
+  EXPECT_EQ(parsed_users.Get(bob).tickets, Tickets(1.0 / 3.0));  // bit for bit
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[0].entry.user, bob);
+  EXPECT_EQ(parsed[1].entry.user, alice);
+}
+
+TEST(TraceIoTest, UserLineKeepsAnExistingUser) {
+  const ModelZoo& zoo = ModelZoo::Default();
+  UserTable users;
+  const UserId existing = users.Create("alice", 5.0).id;
+  std::vector<TraceFileEntry> parsed;
+  std::string error;
+  ASSERT_TRUE(ParseTrace("#user,alice,2,team\narrival_ms,user,model,gang_size,minibatches\n"
+                         "0,alice,VAE,1,10\n",
+                         zoo, &users, &parsed, &error))
+      << error;
+  EXPECT_EQ(users.size(), 1u);
+  EXPECT_EQ(users.Get(existing).tickets, Tickets(5.0));
+  EXPECT_EQ(users.Get(existing).group, "");
+}
+
+TEST(TraceIoTest, BadUserLinesCarryLineNumbers) {
+  const ModelZoo& zoo = ModelZoo::Default();
+  const char* bad[] = {
+      "# fine\n#user,a,0,g\n",   // tickets must be positive
+      "# fine\n#user,a,nan,\n",  // and finite
+      "# fine\n#user,,1,g\n",    // a name is required
+      "# fine\n#user,a,1\n",     // four fields
+      "# fine\n#user,a,1,\n",    // duplicate, on line 3 below
+  };
+  for (const char* head : bad) {
+    std::string csv = head;
+    if (csv.find("#user,a,1,\n") != std::string::npos) {
+      csv += "#user,a,2,\n";
+    }
+    csv += "arrival_ms,user,model,gang_size,minibatches\n0,a,VAE,1,10\n";
+    UserTable users;
+    std::vector<TraceFileEntry> parsed;
+    std::string error;
+    EXPECT_FALSE(ParseTrace(csv, zoo, &users, &parsed, &error)) << csv;
+    const bool duplicate = csv.find("#user,a,2,") != std::string::npos;
+    EXPECT_EQ(error.rfind(duplicate ? "line 3: duplicate user line" : "line 2: bad user line", 0),
+              0u)
+        << error;
+  }
+}
+
 TEST(TraceIoTest, ReusesExistingUsers) {
   const ModelZoo& zoo = ModelZoo::Default();
   UserTable users;

@@ -29,10 +29,8 @@
 //   --gangs typical|philly|single   gang-size mix for generated jobs
 //   --diurnal A      sinusoidal day/night arrival modulation, 0<=A<1 (default 0)
 //   --trace F    load jobs from CSV (see workload/trace_io.h) instead of --user
-//   --save-trace F   write the generated trace as CSV and continue (the CSV
-//                    names each job's user but keeps no tickets or groups:
-//                    a replay gives each user 1 ticket, and a group only if
-//                    --group names it again)
+//   --save-trace F   write the generated trace as CSV and continue (each
+//                    user's tickets and group travel with it)
 //   --quantum-s N    scheduling quantum                          (default 60)
 //   --plan-shards N  shard the tick's plan phase (decisions unchanged)
 //   --plan-threads N threads fanning the plan shards             (default 1)
@@ -483,7 +481,11 @@ int main(int argc, char** argv) {
   if (args.Has("save-trace")) {
     workload::UserTable scratch;
     for (const auto& def : workload.users) {
-      scratch.Create(def.name, def.tickets);
+      if (def.group.empty()) {
+        scratch.Create(def.name, def.tickets);
+      } else {
+        scratch.CreateInGroup(def.name, def.group, def.tickets);
+      }
     }
     if (!workload::WriteTraceFile(args.GetString("save-trace"), workload.entries,
                                   scratch, zoo)) {
